@@ -559,7 +559,8 @@ let check_cmd =
     and+ interval =
       Arg.(
         value & opt float 1.0
-        & info [ "interval" ] ~doc:"Seconds between invariant sweeps.")
+        & info [ "interval" ]
+            ~doc:"Seconds between invariant sweeps (positive, finite).")
     and+ scenario = scenario_term
     and+ scale = scale_term
     in
@@ -569,23 +570,25 @@ let check_cmd =
       | Some sc -> Sim.Scenario.apply sc config
       | None -> config
     in
-    (* faulted runs use the online monitor: per-mutation checks against the
-       stored successor orderings, robust to post-crash label regression *)
-    let faulted = not (Faults.Spec.is_none config.Sim.Config.faults) in
-    let verify =
-      if faulted then Sim.Loopcheck.run_online else Sim.Loopcheck.run
-    in
-    match verify { config with protocol = Sim.Config.Srp } ~interval with
-    | Ok (result, checks, edges) ->
+    match
+      Sim.Loopcheck.run { config with protocol = Sim.Config.Srp } ~interval
+    with
+    | Ok o ->
+        let mode, count, counted =
+          if o.online then ("online monitor", o.checks, "checks")
+          else ("periodic sweeps", o.sweeps, "sweeps")
+        in
         Format.printf
           "loop-freedom verified (%s): %d %s, %d successor edges checked@.%a"
-          (if faulted then "online monitor" else "periodic sweeps")
-          checks
-          (if faulted then "checks" else "sweeps")
-          edges Sim.Report.run result
+          mode count counted o.edges Sim.Report.run o.result
     | Error message ->
         Format.printf "VIOLATION: %s@." message;
         exit 1
+    | exception Invalid_argument message ->
+        Printf.eprintf
+          "check: %s\nTry 'manet_sim check --help' for more information.\n"
+          message;
+        exit 2
   in
   Cmd.v (Cmd.info "check" ~doc) term
 

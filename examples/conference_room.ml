@@ -26,7 +26,7 @@ let () =
   Format.printf
     "Conference room: 25 static nodes, 300x200 m, 8 churned flows, 90 s@.";
   match Sim.Loopcheck.run config ~interval:1.0 with
-  | Ok (result, sweeps, edges) ->
+  | Ok { result; sweeps; edges; _ } ->
       Format.printf "%a@." Sim.Metrics.pp_result result;
       Format.printf
         "loop-freedom invariant held through %d sweeps (%d successor edges \

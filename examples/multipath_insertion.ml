@@ -5,8 +5,8 @@
 
    Run with: dune exec examples/multipath_insertion.exe *)
 
-module F = Slr.Fraction
-module Net = Slr.Simple_net.Make (Slr.Ordinal.Bounded_fraction)
+module L = Slr.Label
+module Net = Slr.Simple_net.Make (L.Mediant)
 
 (* Part 1: splice fresh relays into a live path, one per round. The path
    endpoint labels never change; each newcomer squeezes strictly between
@@ -20,8 +20,8 @@ let insertion_demo () =
   Net.add_link net 0 1;
   Net.add_link net 1 2;
   (match Net.request net ~src:2 with Net.Routed _ -> () | _ -> assert false);
-  Format.printf "initial chain: Q=%a -> A=%a -> T=%a@." F.pp (Net.label net 2)
-    F.pp (Net.label net 1) F.pp (Net.label net 0);
+  Format.printf "initial chain: Q=%a -> A=%a -> T=%a@." L.pp (Net.label net 2)
+    L.pp (Net.label net 1) L.pp (Net.label net 0);
   let q_before = Net.label net 2 in
   let current_successor = ref 1 in
   for round = 0 to rounds - 1 do
@@ -37,12 +37,12 @@ let insertion_demo () =
     | Ok () -> ()
     | Error e -> failwith e);
     Format.printf "round %d: new relay gets label %a (Q still %a, A still %a)@."
-      (round + 1) F.pp (Net.label net k) F.pp (Net.label net 2) F.pp
+      (round + 1) L.pp (Net.label net k) L.pp (Net.label net 2) L.pp
       (Net.label net 1);
     current_successor := k
   done;
-  assert (F.equal q_before (Net.label net 2));
-  Format.printf "Q's label never moved: %a.@.@." F.pp (Net.label net 2)
+  assert (L.equal q_before (Net.label net 2));
+  Format.printf "Q's label never moved: %a.@.@." L.pp (Net.label net 2)
 
 (* Part 2: multipath. Give Q two disjoint feasible successors; both stay in
    its successor set, per §II "SLR inherently provides multiple paths". *)
@@ -64,7 +64,7 @@ let multipath_demo () =
   Format.printf "Q's successor set: %s@."
     (String.concat ", "
        (List.map
-          (fun (i, l) -> Format.asprintf "node %d with label %a" i F.pp l)
+          (fun (i, l) -> Format.asprintf "node %d with label %a" i L.pp l)
           succs));
   Format.printf "losing either successor leaves a working route — no new \
                  route computation needed.@.@."
@@ -75,7 +75,7 @@ let multipath_demo () =
 let exhaustion_demo () =
   Format.printf "=== label exhaustion: bounded vs unbounded ===@.";
   Format.printf "32-bit fractions: worst-case splits before overflow = %d@."
-    (F.max_splits ());
+    (Slr.Fraction.max_splits ());
   let module B = Slr.Bigfrac in
   (* always split the last two labels: denominators follow Fibonacci *)
   let rec chase a b k widest =

@@ -380,8 +380,7 @@ let abstract_print c =
        Topo.pp_op)
     c.ops
 
-let abstract_law (type l) (module L : Slr.Ordinal.S with type t = l)
-    ~exhaustion_ok c =
+let abstract_law (module L : Slr.Label.S) ~exhaustion_ok c =
   let module Net = Slr.Simple_net.Make (L) in
   let net = Net.create ~nodes:c.graph.Topo.nodes ~dest:c.dest in
   List.iter (fun (a, b) -> Net.add_link net a b) c.graph.Topo.edges;
@@ -418,12 +417,12 @@ let abstract_law (type l) (module L : Slr.Ordinal.S with type t = l)
 let prop_abstract_bounded =
   Runner.cell ~cost:2 ~name:"abstract-loop-freedom" ~print:abstract_print
     abstract_gen
-    (abstract_law (module Slr.Ordinal.Bounded_fraction) ~exhaustion_ok:true)
+    (abstract_law (module Slr.Label.Mediant) ~exhaustion_ok:true)
 
 let prop_abstract_unbounded =
   Runner.cell ~cost:2 ~name:"abstract-loop-freedom-unbounded"
     ~print:abstract_print abstract_gen
-    (abstract_law (module Slr.Ordinal.Unbounded_fraction) ~exhaustion_ok:false)
+    (abstract_law (module Slr.Label.Bigfrac_set) ~exhaustion_ok:false)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol caches under randomized clocks. Times are multiples of 0.25 s
@@ -708,22 +707,12 @@ let wire_law c =
   if c.perturb.Topo.drop_p > 0.0 then
     Wire.set_filter wire (fun ~src:_ ~dst:_ ~frame:_ ->
         Des.Rng.float drop_rng 1.0 >= c.perturb.Topo.drop_p);
-  let model = Slr_model.create ~nodes in
+  let model = Slr.Oracle.create ~nodes in
   let agents =
     Array.init nodes (fun i ->
         let t, agent = Protocols.Srp.create_full (Wire.ctx wire i) in
-        Protocols.Srp.on_route_change t (fun dst ->
-            match
-              Slr_model.observe model
-                {
-                  Slr_model.node = i;
-                  dst;
-                  order = Protocols.Srp.ordering t ~dst;
-                  succs = Protocols.Srp.successor_orderings t ~dst;
-                }
-            with
-            | Ok () -> ()
-            | Error m -> raise (Model_violation m));
+        Protocols.Srp.watch t model ~on_violation:(fun m ->
+            raise (Model_violation m));
         Wire.set_agent wire i agent;
         agent)
   in

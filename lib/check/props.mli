@@ -1,7 +1,8 @@
 (** The pure property catalogue: label arithmetic, Algorithm 1, Farey
-    interpolation, abstract SLR loop freedom, SRP-over-wire model
-    agreement, and spatial-grid/naive channel equivalence
-    ([channel-grid-equiv]). Everything here runs without the full
+    interpolation, abstract SLR loop freedom ({!Slr.Simple_net} over the
+    {!Slr.Label.S} instances), SRP-over-wire agreement with the one
+    loop-freedom oracle {!Slr.Oracle}, and spatial-grid/naive channel
+    equivalence ([channel-grid-equiv]). Everything here runs without the full
     simulator; the sim-level properties live in [Sim.Fuzz] and the CLI
     concatenates both catalogues. *)
 

@@ -908,4 +908,18 @@ let own_seqno t = t.self_seqno
 
 let on_route_change t f = t.listener <- f
 
+let snapshot t ~dst =
+  {
+    Slr.Oracle.node = t.ctx.Routing_intf.id;
+    dst;
+    order = ordering t ~dst;
+    succs = successor_orderings t ~dst;
+  }
+
+let watch t oracle ~on_violation =
+  on_route_change t (fun dst ->
+      match Slr.Oracle.observe oracle (snapshot t ~dst) with
+      | Ok () -> ()
+      | Error m -> on_violation m)
+
 let rack_retransmits t = t.rack_retx

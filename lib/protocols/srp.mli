@@ -125,5 +125,14 @@ val own_seqno : t -> int
     RERR processing. The online loop-invariant monitor hangs off this. *)
 val on_route_change : t -> (int -> unit) -> unit
 
+(** This node's oracle view of [dst]: its ordering and the successor
+    orderings stored at engagement. *)
+val snapshot : t -> dst:int -> Slr.Oracle.snapshot
+
+(** [watch t oracle ~on_violation] registers the {!on_route_change} hook
+    that feeds every mutation's {!snapshot} to [oracle]; [on_violation]
+    receives each rejection's message. *)
+val watch : t -> Slr.Oracle.t -> on_violation:(string -> unit) -> unit
+
 (** RREP retransmissions triggered by missing RACKs (diagnostic). *)
 val rack_retransmits : t -> int

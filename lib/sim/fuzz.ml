@@ -1,7 +1,6 @@
 module Gen = Check.Gen
 module Runner_c = Check.Runner
 module Topo = Check.Topo
-module Slr_model = Check.Slr_model
 
 let asprintf = Format.asprintf
 
@@ -149,33 +148,19 @@ exception Model_violation of string
 
 let sim_model_law_in to_config c =
   let config = to_config c in
-  let nodes = config.Config.nodes in
-  let model = Slr_model.create ~nodes in
-  let srps : Protocols.Srp.t option array = Array.make nodes None in
+  let model = Slr.Oracle.create ~nodes:config.Config.nodes in
   try
     let (_ : Metrics.result) =
       Runner.run_custom config
-        ~build:(fun i ctx ->
+        ~build:(fun _ ctx ->
           let t, agent =
             Protocols.Srp.create_full ~config:config.Config.srp ctx
           in
-          srps.(i) <- Some t;
-          Protocols.Srp.on_route_change t (fun dst ->
-              match
-                Slr_model.observe model
-                  {
-                    Slr_model.node = i;
-                    dst;
-                    order = Protocols.Srp.ordering t ~dst;
-                    succs = Protocols.Srp.successor_orderings t ~dst;
-                  }
-              with
-              | Ok () -> ()
-              | Error m -> raise (Model_violation m));
+          Protocols.Srp.watch t model ~on_violation:(fun m ->
+              raise (Model_violation m));
           agent)
         ~on_start:(fun _ -> ())
     in
-    ignore (Slr_model.observations model);
     Ok ()
   with Model_violation m -> Error m
 

@@ -1,128 +1,84 @@
 let span_check = Obs.span "event.loopcheck"
 
-module Ordering = Slr.Ordering
+module Oracle = Slr.Oracle
 
 exception Violation of string
 
+type outcome = {
+  result : Metrics.result;
+  online : bool;
+  sweeps : int;
+  checks : int;
+  edges : int;
+}
+
+let raise_error = function Ok () -> () | Error m -> raise (Violation m)
+
 let run (config : Config.t) ~interval =
+  if not (Float.is_finite interval && interval > 0.0) then
+    invalid_arg
+      (Printf.sprintf
+         "Loopcheck.run: interval must be positive and finite, got %g"
+         interval);
   if config.protocol <> Config.Srp then
     invalid_arg "Loopcheck.run: only SRP exposes label state";
   let nodes = config.nodes in
+  (* The reference orderings. Faulted runs check each node's *stored*
+     successor orderings (the labels the successors advertised at
+     engagement): a rebooted successor regresses to the unassigned label,
+     which would make current-label comparisons fire spuriously while the
+     Ordering Criteria — and acyclicity, still verified globally — hold.
+     Fault-free runs compare against the successors' *current* orderings,
+     which also catches a successor that has fallen to unassigned. *)
+  let online = not (Faults.Spec.is_none config.faults) in
   let srps : Protocols.Srp.t option array = Array.make nodes None in
-  let sweeps = ref 0 in
-  let edges = ref 0 in
-  (* one whole-network invariant sweep: every destination's successor
-     graph must descend in label order and be acyclic *)
-  let sweep () =
-    incr sweeps;
-    let srp i = Option.get srps.(i) in
-    for dst = 0 to nodes - 1 do
-      let successor_ids = Array.make nodes [] in
-      for a = 0 to nodes - 1 do
-        if a <> dst then begin
-          let own = Protocols.Srp.ordering (srp a) ~dst in
-          let succs = Protocols.Srp.successor_orderings (srp a) ~dst in
-          successor_ids.(a) <- List.map fst succs;
-          List.iter
-            (fun (b, _) ->
-              incr edges;
-              let b_now = Protocols.Srp.ordering (srp b) ~dst in
-              if not (Ordering.precedes own b_now) then
-                raise
-                  (Violation
-                     (Format.asprintf
-                        "dst %d: edge %d->%d out of order: %a not ⊑ %a" dst a
-                        b Ordering.pp own Ordering.pp b_now)))
-            succs
-        end
-      done;
-      match Slr.Dag.acyclic ~successors:(fun i -> successor_ids.(i)) nodes with
-      | Ok () -> ()
-      | Error cycle ->
-          raise
-            (Violation
-               (Format.asprintf "dst %d: successor cycle %a" dst
-                  (Format.pp_print_list
-                     ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "->")
-                     Format.pp_print_int)
-                  cycle))
-    done
-  in
-  try
-    let result =
-      Runner.run_custom config
-        ~build:(fun i ctx ->
-          let t, agent = Protocols.Srp.create_full ~config:config.srp ctx in
-          srps.(i) <- Some t;
-          agent)
-        ~on_start:(fun engine ->
-          let rec tick time =
-            if time < config.duration then
-              ignore
-                (Des.Engine.schedule_at ~span:span_check engine ~time (fun () ->
-                     sweep ();
-                     tick (time +. interval)))
-          in
-          tick interval)
-    in
-    Ok (result, !sweeps, !edges)
-  with Violation message -> Error message
-
-(* The online monitor asserts the invariant the moment a route table
-   mutates, not on a sampling clock. It deliberately checks each node's
-   *stored* successor orderings (the labels the successors advertised at
-   engagement time) rather than their current ones: under crash faults a
-   rebooted successor regresses to the unassigned label, which makes
-   current-label comparisons fire spuriously even though the Ordering
-   Criteria — and acyclicity, which we still verify globally — hold. *)
-let run_online (config : Config.t) ~interval =
-  if config.protocol <> Config.Srp then
-    invalid_arg "Loopcheck.run_online: only SRP exposes label state";
-  let nodes = config.nodes in
-  let srps : Protocols.Srp.t option array = Array.make nodes None in
-  let node_up = ref (fun _ -> true) in
-  let checks = ref 0 in
-  let edges = ref 0 in
-  (* destinations whose graph mutated since the last amortized global pass *)
-  let dirty : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let srp i = Option.get srps.(i) in
-  (* the local invariant at [a]: a's own label strictly precedes every
-     stored successor label for [dst] (Theorem 3's per-edge condition) *)
-  let local_check a ~dst =
+  let node_up = ref (fun _ -> true) in
+  let sweeps = ref 0 and checks = ref 0 and edges = ref 0 in
+  (* the local invariant at [a]: its ordering strictly precedes every
+     reference successor ordering for [dst] (Theorem 3's per-edge
+     condition); returns the successor ids for the global pass *)
+  let check a ~dst =
+    let snap = Protocols.Srp.snapshot (srp a) ~dst in
+    let snap =
+      if online then snap
+      else
+        {
+          snap with
+          succs =
+            List.map
+              (fun (b, _) -> (b, Protocols.Srp.ordering (srp b) ~dst))
+              snap.succs;
+        }
+    in
     incr checks;
-    let own = Protocols.Srp.ordering (srp a) ~dst in
-    List.iter
-      (fun (b, s_order) ->
-        incr edges;
-        if not (Ordering.precedes own s_order) then
-          raise
-            (Violation
-               (Format.asprintf
-                  "dst %d: node %d holds successor %d out of order: %a not ⊑ %a"
-                  dst a b Ordering.pp own Ordering.pp s_order)))
-      (Protocols.Srp.successor_orderings (srp a) ~dst)
+    edges := !edges + List.length snap.succs;
+    raise_error (Oracle.check_edges snap);
+    List.map fst snap.succs
   in
-  (* the global pass for one destination: every live node's local invariant
-     plus acyclicity of the whole successor graph *)
+  (* the global pass for one destination: every live node's local
+     invariant plus acyclicity of the whole successor graph *)
   let sweep_dst dst =
     let successor_ids = Array.make nodes [] in
     for a = 0 to nodes - 1 do
-      if a <> dst && !node_up a then begin
-        local_check a ~dst;
-        successor_ids.(a) <-
-          List.map fst (Protocols.Srp.successor_orderings (srp a) ~dst)
-      end
+      if a <> dst && !node_up a then successor_ids.(a) <- check a ~dst
     done;
-    match Slr.Dag.acyclic ~successors:(fun i -> successor_ids.(i)) nodes with
-    | Ok () -> ()
-    | Error cycle ->
-        raise
-          (Violation
-             (Format.asprintf "dst %d: successor cycle %a" dst
-                (Format.pp_print_list
-                   ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "->")
-                   Format.pp_print_int)
-                cycle))
+    raise_error
+      (Oracle.check_acyclic ~dst ~successors:(Array.get successor_ids) nodes)
+  in
+  (* online runs assert the local invariant the moment a route table
+     mutates and amortize the global pass over the destinations touched
+     since the last tick; periodic runs sweep every destination *)
+  let dirty : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let due () =
+    if online then begin
+      let dsts =
+        List.sort compare (Hashtbl.fold (fun d () acc -> d :: acc) dirty [])
+      in
+      Hashtbl.reset dirty;
+      dsts
+    end
+    else List.init nodes Fun.id
   in
   try
     let result =
@@ -132,28 +88,26 @@ let run_online (config : Config.t) ~interval =
         ~build:(fun i ctx ->
           let t, agent = Protocols.Srp.create_full ~config:config.srp ctx in
           srps.(i) <- Some t;
-          Protocols.Srp.on_route_change t (fun dst ->
-              (* fires on crashed incarnations too (expiry timers survive
-                 the swap); their state is frozen, so the check stays true *)
-              (match srps.(i) with
-              | Some current when current == t -> local_check i ~dst
-              | _ -> ());
-              Hashtbl.replace dirty dst ());
+          if online then
+            Protocols.Srp.on_route_change t (fun dst ->
+                (* fires on crashed incarnations too (expiry timers survive
+                   the swap); their state is frozen, so the check stays
+                   true *)
+                (match srps.(i) with
+                | Some current when current == t -> ignore (check i ~dst)
+                | _ -> ());
+                Hashtbl.replace dirty dst ());
           agent)
         ~on_start:(fun engine ->
           let rec tick time =
             if time < config.duration then
               ignore
                 (Des.Engine.schedule_at ~span:span_check engine ~time (fun () ->
-                     let dsts =
-                       List.sort compare
-                         (Hashtbl.fold (fun d () acc -> d :: acc) dirty [])
-                     in
-                     Hashtbl.reset dirty;
-                     List.iter sweep_dst dsts;
+                     incr sweeps;
+                     List.iter sweep_dst (due ());
                      tick (time +. interval)))
           in
           tick interval)
     in
-    Ok (result, !checks, !edges)
+    Ok { result; online; sweeps = !sweeps; checks = !checks; edges = !edges }
   with Violation message -> Error message

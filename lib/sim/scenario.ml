@@ -229,25 +229,14 @@ let run_adversarial ~protocol =
         in
         (Array.map snd pairs, cycle, forge, false, fun () -> "forged TC")
     | Config.Srp ->
-        let model = Check.Slr_model.create ~nodes:vg_nodes in
+        let model = Slr.Oracle.create ~nodes:vg_nodes in
         let violation = ref None in
         let pairs =
           Array.init vg_nodes (fun i ->
               let t, agent = Protocols.Srp.create_full (Check.Wire.ctx wire i) in
-              Protocols.Srp.on_route_change t (fun dst ->
-                  match
-                    Check.Slr_model.observe model
-                      {
-                        Check.Slr_model.node = i;
-                        dst;
-                        order = Protocols.Srp.ordering t ~dst;
-                        succs = Protocols.Srp.successor_orderings t ~dst;
-                      }
-                  with
-                  | Ok () -> ()
-                  | Error m ->
-                      flagged := true;
-                      if !violation = None then violation := Some m);
+              Protocols.Srp.watch t model ~on_violation:(fun m ->
+                  flagged := true;
+                  if !violation = None then violation := Some m);
               (t, agent))
         in
         let ts = Array.map fst pairs in
@@ -285,7 +274,7 @@ let run_adversarial ~protocol =
           | Some m -> "model violation: " ^ m
           | None ->
               Printf.sprintf "reference model green (%d observations)"
-                (Check.Slr_model.observations model)
+                (Slr.Oracle.observations model)
         in
         (Array.map snd pairs, cycle, forge, true, describe)
   in

@@ -1,17 +1,3 @@
-let topological_order ~compare ~label ~successors n =
-  let rec check_node i =
-    if i >= n then Ok ()
-    else
-      let rec check_edges = function
-        | [] -> check_node (i + 1)
-        | j :: rest ->
-            if compare (label j) (label i) < 0 then check_edges rest
-            else Error (i, j)
-      in
-      check_edges (successors i)
-  in
-  check_node 0
-
 type mark = White | Grey | Black
 
 let acyclic ~successors n =

@@ -1,17 +1,7 @@
-(** Invariant checkers for per-destination successor graphs: topological
-    order of labels (the paper's loop-freedom invariant, Theorem 3) and
-    direct acyclicity by depth-first search (an independent oracle the
-    property tests compare against). Nodes are integers in [0, n). *)
-
-(** [topological_order ~label ~successors n] verifies that every successor
-    edge [(i, j)] satisfies [label j < label i] under [compare]. Returns the
-    offending edge on failure. *)
-val topological_order :
-  compare:('l -> 'l -> int) ->
-  label:(int -> 'l) ->
-  successors:(int -> int list) ->
-  int ->
-  (unit, int * int) result
+(** Graph checks over per-destination successor graphs, nodes being
+    integers in [0, n): acyclicity by depth-first search with a cycle
+    witness (the graph half of Theorem 3, which {!Oracle} formats), and
+    reachability. *)
 
 (** [acyclic ~successors n] is [Ok ()] when the directed graph has no cycle,
     or [Error cycle] with a witness cycle (first node repeated at the end). *)

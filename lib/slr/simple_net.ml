@@ -1,21 +1,19 @@
 module IntSet = Set.Make (Int)
 
-module Make (L : Ordinal.S) = struct
-  module Rules = Split_label.Make (L)
-
+module Make (L : Label.S) = struct
   type t = {
     nodes : int;
     dest : int;
-    labels : L.t array;
+    labels : Label.t array;
     adjacency : IntSet.t array;
-    succs : (int * L.t) list array;
+    succs : (int * Label.t) list array;
   }
 
   let create ~nodes ~dest =
     if nodes <= 0 then invalid_arg "Simple_net.create: need at least one node";
     if dest < 0 || dest >= nodes then invalid_arg "Simple_net.create: bad dest";
-    let labels = Array.make nodes L.greatest in
-    labels.(dest) <- L.least;
+    let labels = Array.make nodes L.one in
+    labels.(dest) <- L.zero;
     {
       nodes;
       dest;
@@ -65,6 +63,16 @@ module Make (L : Ordinal.S) = struct
 
   let min_label a b = if lt a b then a else b
 
+  let choose_label ~current ~cached_min ~adv =
+    if not (lt adv current) then None
+    else if lt current cached_min then Some current
+    else if not (lt adv cached_min) then None
+    else begin
+      match L.next adv with
+      | Some n when lt n cached_min -> Some n
+      | Some _ | None -> L.split ~lo:adv ~hi:cached_min
+    end
+
   (* Labels are non-increasing with time (Eq. 3); enforce it here so any
      rule violation trips immediately rather than as a distant loop. *)
   let set_label t i g =
@@ -82,7 +90,7 @@ module Make (L : Ordinal.S) = struct
   let flood t ~src =
     let visited = Array.make t.nodes false in
     let parent = Array.make t.nodes (-1) in
-    let carried = Array.make t.nodes L.greatest in
+    let carried = Array.make t.nodes L.one in
     visited.(src) <- true;
     let queue = Queue.create () in
     (* the requester places its current label in the request *)
@@ -127,18 +135,19 @@ module Make (L : Ordinal.S) = struct
               let next = parent.(node) in
               assert (next >= 0);
               let cached =
-                if next = src then L.greatest else carried.(next)
+                if next = src then L.one else carried.(next)
               in
               match
-                Rules.choose_label ~current:t.labels.(next)
+                choose_label ~current:t.labels.(next)
                   ~cached_min:cached ~adv
               with
               | None -> Error next
               | Some g ->
                   set_label t next g;
                   adopt_successor t next ~via:node ~adv;
+                  (* Eq. 6: drop successors no longer below the new label *)
                   t.succs.(next) <-
-                    Rules.filter_successors ~label:g t.succs.(next);
+                    List.filter (fun (_, s) -> lt s g) t.succs.(next);
                   walk next g (node :: acc)
           in
           let adv = t.labels.(replier) in
@@ -156,27 +165,28 @@ module Make (L : Ordinal.S) = struct
     t.succs.(a) <- List.remove_assoc b t.succs.(a);
     t.succs.(b) <- List.remove_assoc a t.succs.(b)
 
+  (* The abstract executor is SLR at one fixed sequence number, so Theorem
+     3's invariant over its labels is the oracle's over orderings (0, l);
+     successors are compared at their current labels. *)
   let check_invariants t =
-    let succ_ids i = List.map fst t.succs.(i) in
-    match
-      Dag.topological_order ~compare:L.compare
-        ~label:(fun i -> t.labels.(i))
-        ~successors:succ_ids t.nodes
-    with
-    | Error (i, j) ->
-        Error
-          (Format.asprintf "edge (%d -> %d) violates label order: %a >= %a" i
-             j L.pp t.labels.(j) L.pp t.labels.(i))
-    | Ok () -> (
-        match Dag.acyclic ~successors:succ_ids t.nodes with
-        | Error cycle ->
-            Error
-              (Format.asprintf "successor cycle: %a"
-                 (Format.pp_print_list
-                    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " -> ")
-                    Format.pp_print_int)
-                 cycle)
-        | Ok () -> Ok ())
+    let order i = Ordering.v ~sn:0 ~label:t.labels.(i) in
+    let rec edges i =
+      if i = t.nodes then Ok ()
+      else
+        Result.bind
+          (Oracle.check_edges
+             {
+               Oracle.node = i;
+               dst = t.dest;
+               order = order i;
+               succs = List.map (fun (j, _) -> (j, order j)) t.succs.(i);
+             })
+          (fun () -> edges (i + 1))
+    in
+    Result.bind (edges 0) (fun () ->
+        Oracle.check_acyclic ~dst:t.dest
+          ~successors:(fun i -> List.map fst t.succs.(i))
+          t.nodes)
 
   let route_to_dest t ~src =
     let rec follow node acc steps =

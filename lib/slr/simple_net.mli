@@ -1,17 +1,33 @@
 (** An abstract, message-less executor for SLR route computations over a
     static graph (paper §II): request floods breadth-first, a reply walks the
-    reverse path, and each node relabels with {!Split_label.Make.choose_label}.
+    reverse path, and each node relabels with {!Make.choose_label}.
 
     This is the idealised protocol used to state Theorems 1–4; the full
     message-passing implementation with losses and mobility is SRP
     (see [Protocols.Srp]). The executor reproduces the paper's Examples 1–2
-    exactly and backs the loop-freedom property tests. *)
+    exactly and backs the loop-freedom property tests. It needs only the
+    order, sentinels, next-element and split of a {!Label.S} instance. *)
 
-module Make (L : Ordinal.S) : sig
+module Make (L : Label.S) : sig
   type t
 
-  (** [create ~nodes ~dest] — all nodes unlabeled (greatest label) except
-      [dest], which takes the least label. No links, no successor paths. *)
+  (** [choose_label ~current ~cached_min ~adv] picks a label satisfying
+      Eqs. 3–5 of Definition 1 for an advertisement labelled [adv], given
+      the node's current label and the cached minimum predecessor label
+      [M_i]:
+      - [None] when the advertisement is infeasible ([adv >= current]) or no
+        label fits (bounded-set overflow, or [adv >= cached_min]);
+      - keep [current] when [current < cached_min] (Example 2's nodes G, H);
+      - else the next-element of [adv] when it stays below the bound;
+      - else a split strictly between [adv] and [cached_min].
+
+      Eq. 6 is left to {!request}, which drops successors not below the
+      new label (the paper's "eliminate certain existing successors"). *)
+  val choose_label :
+    current:Label.t -> cached_min:Label.t -> adv:Label.t -> Label.t option
+
+  (** [create ~nodes ~dest] — all nodes unlabeled ([L.one]) except [dest],
+      which takes [L.zero]. No links, no successor paths. *)
   val create : nodes:int -> dest:int -> t
 
   val node_count : t -> int
@@ -25,10 +41,10 @@ module Make (L : Ordinal.S) : sig
 
   val linked : t -> int -> int -> bool
 
-  val label : t -> int -> L.t
+  val label : t -> int -> Label.t
 
   (** Successor entries with the advertised label recorded at adoption. *)
-  val successors : t -> int -> (int * L.t) list
+  val successors : t -> int -> (int * Label.t) list
 
   (** A node has an active route iff its successor set is non-empty. *)
   val has_route : t -> int -> bool
@@ -53,10 +69,10 @@ module Make (L : Ordinal.S) : sig
   (** [seed_label t i l] forces a node's label, bypassing the protocol —
       for tests and demos that re-create the paper's figures, where nodes
       "once knew a route" and carry stale labels. Never use it mid-request. *)
-  val seed_label : t -> int -> L.t -> unit
+  val seed_label : t -> int -> Label.t -> unit
 
-  (** Checks Theorem 3's invariants: every successor edge descends in label
-      order, and the successor graph is acyclic. *)
+  (** Checks Theorem 3's invariants with {!Oracle}: every successor edge
+      descends in label order, and the successor graph is acyclic. *)
   val check_invariants : t -> (unit, string) result
 
   (** Follow least-label successors from [src]; [None] when no route. For

@@ -111,8 +111,8 @@ let pos t i time =
   Vec2.make ~x:t.pos_x.(i) ~y:t.pos_y.(i)
 
 (* compact the air arrays in place, keeping entries through the guard
-   window (busy needs them); entry order never affects results — corrupt
-   is idempotent per frame, busy_until takes a max, busy an exists *)
+   window (busy_until needs them); entry order never affects results —
+   corrupt is idempotent per frame, busy_until takes a max *)
 let prune t =
   let time = now t in
   let src = t.air_src and until = t.air_until in
@@ -153,25 +153,6 @@ let within t a b ~radius =
   (dx *. dx) +. (dy *. dy) <= radius *. radius
 
 let in_range t a b = within t a b ~radius:t.range
-
-let busy t i =
-  if transmitting t i then true
-  else begin
-    prune t;
-    let time = now t in
-    let found = ref false in
-    let k = ref 0 in
-    while (not !found) && !k < t.air_len do
-      let src = t.air_src.(!k) in
-      if
-        src <> i
-        && t.air_until.(!k) +. t.idle_guard > time
-        && within t i src ~radius:t.cs_range
-      then found := true
-      else incr k
-    done;
-    !found
-  end
 
 let busy_until t i =
   prune t;

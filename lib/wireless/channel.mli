@@ -48,13 +48,12 @@ val set_filter : 'a t -> (src:int -> dst:int -> bool) -> unit
 (** [transmit t ~src ~duration pdu] starts a transmission now. *)
 val transmit : 'a t -> src:int -> duration:float -> 'a -> unit
 
-(** Carrier sense at a node: is any in-range node (or itself) mid-airtime? *)
-val busy : 'a t -> int -> bool
-
-(** [busy_until t i] is the absolute time when the medium around [i] goes
-    idle (including the post-frame guard); [now] when already idle. Lets a
-    MAC anchor its re-contention at the idle boundary the way DCF's frozen
-    backoff counters do. *)
+(** Carrier sense at a node: [busy_until t i] is the absolute time when
+    the medium around [i] — any node within [cs_range], or [i] itself —
+    goes idle (including the post-frame guard); [now] when already idle, so
+    the medium is busy iff the result exceeds [now]. Lets a MAC anchor its
+    re-contention at the idle boundary the way DCF's frozen backoff
+    counters do. *)
 val busy_until : 'a t -> int -> float
 
 (** Is the node itself transmitting right now? *)

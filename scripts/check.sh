@@ -1,20 +1,34 @@
 #!/usr/bin/env sh
 # CI gate: full build, the whole test suite, then a faults-enabled smoke
 # run — a 50-node simulation with link flaps, crashes and loss bursts must
-# complete under the online loop-freedom monitor with zero violations.
+# complete under the online loop-freedom monitor with zero violations and
+# reproduce its committed output.
 set -eu
 cd "$(dirname "$0")/.."
 
 dune build @all
 dune runtest
 
-dune exec bin/manet_sim.exe -- check --nodes 50 --duration 60 --faults
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+dune exec bin/manet_sim.exe -- check --nodes 50 --duration 60 --faults \
+  > "$tmp/check_faults.txt"
+cmp "$tmp/check_faults.txt" scripts/golden/check_faults.txt
+
+# one-oracle goldens: the periodic-sweep verifier and the three examples
+# (abstract SLR on the mediant label set, multipath insertion, a verified
+# SRP run) must reproduce their committed stdout byte for byte
+dune exec bin/manet_sim.exe -- check --nodes 30 --duration 60 \
+  > "$tmp/check_sweep.txt"
+cmp "$tmp/check_sweep.txt" scripts/golden/check_sweep.txt
+for example in quickstart multipath_insertion conference_room; do
+  dune exec "examples/$example.exe" > "$tmp/example_$example.txt"
+  cmp "$tmp/example_$example.txt" "scripts/golden/example_$example.txt"
+done
 
 # telemetry smoke: a traced run must emit parseable JSONL and a --json
 # result file with the documented keys, and same-seed traces must agree
 # byte for byte
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
 dune exec bin/manet_sim.exe -- run --nodes 30 --duration 30 \
   --trace-file "$tmp/a.jsonl" --sample-every 5 --json "$tmp/run.json" \
   > "$tmp/out_a.txt" 2> /dev/null

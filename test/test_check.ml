@@ -260,23 +260,13 @@ let test_vg_srp_same_schedule_loop_free () =
   let wire =
     Check.Wire.create ~engine ~rng:(Des.Rng.create 99L) ~nodes:3 ()
   in
-  let model = Check.Slr_model.create ~nodes:3 in
+  let model = Slr.Oracle.create ~nodes:3 in
   let violation = ref None in
   let pairs =
     Array.init 3 (fun i ->
         let t, agent = Protocols.Srp.create_full (Check.Wire.ctx wire i) in
-        Protocols.Srp.on_route_change t (fun dst ->
-            match
-              Check.Slr_model.observe model
-                {
-                  Check.Slr_model.node = i;
-                  dst;
-                  order = Protocols.Srp.ordering t ~dst;
-                  succs = Protocols.Srp.successor_orderings t ~dst;
-                }
-            with
-            | Ok () -> ()
-            | Error m -> if !violation = None then violation := Some m);
+        Protocols.Srp.watch t model ~on_violation:(fun m ->
+            if !violation = None then violation := Some m);
         Check.Wire.set_agent wire i agent;
         (t, agent))
   in
@@ -300,7 +290,7 @@ let test_vg_srp_same_schedule_loop_free () =
   | Some m -> Alcotest.fail ("reference model violation: " ^ m)
   | None -> ());
   Alcotest.(check bool) "model observed real route activity" true
-    (Check.Slr_model.observations model > 0)
+    (Slr.Oracle.observations model > 0)
 
 let () =
   Alcotest.run "check"

@@ -148,9 +148,10 @@ let test_relay_flap_recovery () =
         ];
     }
   in
-  match Sim.Loopcheck.run_online { config with faults } ~interval:0.25 with
+  match Sim.Loopcheck.run { config with faults } ~interval:0.25 with
   | Error message -> Alcotest.failf "loop invariant violated: %s" message
-  | Ok (result, checks, _) ->
+  | Ok { result; online; checks; _ } ->
+      Alcotest.(check bool) "online monitor" true online;
       Alcotest.(check bool) "monitor exercised" true (checks > 0);
       Alcotest.(check int) "both flap events injected" 2
         result.Sim.Metrics.fault_events;
@@ -198,13 +199,34 @@ let test_crashes_online_monitor () =
       faults = { Spec.none with crashes = 2; crash_down_mean = 12.0 };
     }
   in
-  match Sim.Loopcheck.run_online config ~interval:0.25 with
+  match Sim.Loopcheck.run config ~interval:0.25 with
   | Error message -> Alcotest.failf "loop invariant violated: %s" message
-  | Ok (result, _, _) ->
+  | Ok { result; _ } ->
       Alcotest.(check bool) "crash events injected" true
         (result.Sim.Metrics.fault_events >= 2);
       Alcotest.(check bool) "still delivering" true
         (result.Sim.Metrics.delivery_ratio >= 0.5)
+
+(* Crash reboots regress a rebooted successor's current ordering to
+   unassigned, so faulted runs must check the stored orderings: this run
+   (`check --nodes 30 --duration 60 --faults --crashes 6 --seed 3`) is
+   green under them but fires spuriously against current orderings. *)
+let test_crash_reboots_need_stored_orderings () =
+  let config =
+    {
+      C.reproduction with
+      protocol = C.Srp;
+      nodes = 30;
+      pause = 0.0;
+      duration = 60.0;
+      seed = 3;
+      packet_rate = 4.0;
+      faults = { Spec.default with crashes = 6 };
+    }
+  in
+  match Sim.Loopcheck.run config ~interval:1.0 with
+  | Error message -> Alcotest.failf "loop invariant violated: %s" message
+  | Ok { online; _ } -> Alcotest.(check bool) "online monitor" true online
 
 let () =
   Alcotest.run "faults"
@@ -223,5 +245,7 @@ let () =
             test_faulted_run_deterministic;
           Alcotest.test_case "crashes under online monitor" `Quick
             test_crashes_online_monitor;
+          Alcotest.test_case "crash reboots need stored orderings" `Quick
+            test_crash_reboots_need_stored_orderings;
         ] );
     ]

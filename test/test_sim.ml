@@ -177,7 +177,8 @@ let test_srp_farey_loop_free () =
 
 let test_srp_loop_free_static () =
   match Sim.Loopcheck.run (quick_config C.Srp) ~interval:1.0 with
-  | Ok (_, sweeps, edges) ->
+  | Ok { online; sweeps; edges; _ } ->
+      Alcotest.(check bool) "periodic sweeps" false online;
       Alcotest.(check bool) "swept" true (sweeps >= 30);
       Alcotest.(check bool) "edges inspected" true (edges > 0)
   | Error e -> Alcotest.fail e
@@ -187,7 +188,7 @@ let test_srp_loop_free_mobile () =
     { (quick_config C.Srp) with C.pause = 0.0; duration = 60.0; flows = 5 }
   in
   match Sim.Loopcheck.run config ~interval:0.5 with
-  | Ok (_, sweeps, _) -> Alcotest.(check bool) "swept" true (sweeps >= 100)
+  | Ok { sweeps; _ } -> Alcotest.(check bool) "swept" true (sweeps >= 100)
   | Error e -> Alcotest.fail e
 
 let test_srp_loop_free_mobile_seeds () =
@@ -206,6 +207,35 @@ let test_srp_loop_free_mobile_seeds () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "seed %d: %s" seed e)
     [ 11; 12; 13 ]
+
+(* A zero interval would re-schedule the sweep tick at the same instant
+   forever, nan would never sweep, and a negative one schedules into the
+   past: all three are rejected before the run, in both modes. *)
+let test_loopcheck_bad_interval interval () =
+  List.iter
+    (fun faults ->
+      match
+        Sim.Loopcheck.run { (quick_config C.Srp) with C.faults } ~interval
+      with
+      | _ -> Alcotest.failf "interval %g accepted" interval
+      | exception Invalid_argument _ -> ())
+    [ Faults.Spec.none; Faults.Spec.default ]
+
+(* ... and `manet_sim check` reports it as a usage error, exit 2 *)
+let test_check_cli_bad_interval () =
+  let sim =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/manet_sim.exe"
+  in
+  List.iter
+    (fun (interval, faults) ->
+      let code =
+        Sys.command
+          (Printf.sprintf
+             "%s check --nodes 10 --duration 5 --interval=%s%s 2> %s" sim
+             interval faults Filename.null)
+      in
+      Alcotest.(check int) ("exit status for --interval=" ^ interval ^ faults) 2 code)
+    [ ("0", ""); ("0", " --faults"); ("nan", ""); ("-1", ""); ("-1", " --faults") ]
 
 (* ------------------------------------------------------------------ *)
 (* Campaign + report *)
@@ -563,6 +593,14 @@ let () =
             test_srp_loop_free_mobile_seeds;
           Alcotest.test_case "Farey-split variant stays loop-free" `Slow
             test_srp_farey_loop_free;
+          Alcotest.test_case "interval 0 rejected" `Quick
+            (test_loopcheck_bad_interval 0.0);
+          Alcotest.test_case "interval nan rejected" `Quick
+            (test_loopcheck_bad_interval Float.nan);
+          Alcotest.test_case "interval -1 rejected" `Quick
+            (test_loopcheck_bad_interval (-1.0));
+          Alcotest.test_case "check --interval exits 2" `Quick
+            test_check_cli_bad_interval;
         ] );
       ( "campaign",
         [

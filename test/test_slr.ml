@@ -218,7 +218,7 @@ let prop_lexlabel_between_top =
       | None -> false)
 
 (* the whole abstract protocol runs on string labels too *)
-module LexNet = Slr.Simple_net.Make (Slr.Ordinal.Lex_string)
+module LexNet = Slr.Simple_net.Make (Slr.Label.Lex)
 
 let test_lexlabel_network () =
   let net = LexNet.create ~nodes:6 ~dest:0 in
@@ -292,6 +292,85 @@ let prop_precedes_asymmetric =
   QCheck2.Test.make ~name:"OC relation is asymmetric" ~count:500
     QCheck2.Gen.(pair ordering_gen ordering_gen)
     (fun (a, b) -> not (O.precedes a b && O.precedes b a))
+
+(* ------------------------------------------------------------------ *)
+(* The loop-freedom oracle on hand-built snapshots *)
+
+module Or = Slr.Oracle
+
+let snap ?(dst = 0) node order succs = { Or.node; dst; order; succs }
+
+let accepts what = function
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "%s rejected: %s" what m
+
+let rejects what = function
+  | Ok () -> Alcotest.failf "%s accepted" what
+  | Error m -> m
+
+let test_oracle_out_of_order () =
+  accepts "a lower successor"
+    (Or.check_edges (snap 1 (ord 1 1 2) [ (2, ord 1 1 3) ]));
+  accepts "a fresher successor"
+    (Or.check_edges (snap 1 (ord 1 1 2) [ (2, ord 2 2 3) ]));
+  Alcotest.(check string) "names the first offending successor"
+    "dst 0: node 1 keeps successor 2 out of order: (1, 1/2) not ⊑ (1, 2/3)"
+    (rejects "a higher successor"
+       (Or.check_edges (snap 1 (ord 1 1 2) [ (3, ord 1 1 3); (2, ord 1 2 3) ])));
+  let model = Or.create ~nodes:3 in
+  ignore
+    (rejects "a stale successor"
+       (Or.observe model (snap 1 (ord 1 1 2) [ (2, ord 0 1 3) ])))
+
+let test_oracle_raised_label () =
+  let model = Or.create ~nodes:3 in
+  accepts "first report" (Or.observe model (snap 1 (ord 1 1 2) []));
+  accepts "a lower label" (Or.observe model (snap 1 (ord 1 1 3) []));
+  Alcotest.(check string) "cites Eq. 3"
+    "dst 0: node 1 raised its label: (1, 1/3) then (1, 1/2) (Eq. 3)"
+    (rejects "a raised label" (Or.observe model (snap 1 (ord 1 1 2) [])));
+  accepts "a fresher sequence number"
+    (Or.observe model (snap 1 (ord 2 2 3) []));
+  accepts "another destination"
+    (Or.observe model (snap ~dst:2 1 (ord 1 4 5) []))
+
+let test_oracle_cycle () =
+  (* stale stored orderings let each edge pass alone, yet 1 -> 2 -> 1 *)
+  let model = Or.create ~nodes:3 in
+  accepts "1 -> 2"
+    (Or.observe model (snap 1 (ord 1 1 2) [ (2, ord 1 1 3) ]));
+  let m =
+    rejects "2 -> 1 closes the cycle"
+      (Or.observe model (snap 2 (ord 1 1 3) [ (1, ord 1 1 4) ]))
+  in
+  (* the witness starts and ends at the same node *)
+  Alcotest.(check string) "closed witness" "dst 0: successor cycle 1->2->1" m;
+  Alcotest.(check int) "both snapshots counted" 2 (Or.observations model)
+
+let test_oracle_unassigned () =
+  let model = Or.create ~nodes:3 in
+  accepts "fresh route" (Or.observe model (snap 1 (ord 3 1 2) []));
+  accepts "expiry to unassigned" (Or.observe model (snap 1 O.unassigned []));
+  accepts "a new route at an older sequence number"
+    (Or.observe model (snap 1 (ord 1 2 3) []));
+  let direct = Or.create ~nodes:3 in
+  accepts "fresh route" (Or.observe direct (snap 1 (ord 3 1 2) []));
+  ignore
+    (rejects "the same change without the unassigned step"
+       (Or.observe direct (snap 1 (ord 1 2 3) [])))
+
+let test_oracle_bad_node () =
+  let model = Or.create ~nodes:3 in
+  List.iter
+    (fun (what, s) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Oracle.observe: node out of range") (fun () ->
+          ignore (Or.observe model s)))
+    [
+      ("negative node", snap (-1) (ord 1 1 2) []);
+      ("node past the end", snap 3 (ord 1 1 2) []);
+      ("successor past the end", snap 1 (ord 1 1 2) [ (3, ord 1 1 3) ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Algorithm 1 (NEWORDER) *)
@@ -473,31 +552,31 @@ let prop_farey_never_wider_than_mediant =
       | None, _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Split_label rules + Simple_net (the paper's worked examples) *)
+(* Simple_net (the paper's worked examples) over the mediant label set *)
 
-module Rules = Slr.Split_label.Make (Slr.Ordinal.Bounded_fraction)
-module Net = Slr.Simple_net.Make (Slr.Ordinal.Bounded_fraction)
+module Net = Slr.Simple_net.Make (Slr.Label.Mediant)
+
+let label num den = Slr.Label.Frac (frac num den)
+
+let check_label = Alcotest.testable Slr.Label.pp Slr.Label.equal
 
 let test_choose_label () =
   (* infeasible: advertisement not below the current label *)
-  Alcotest.(check (option check_frac)) "infeasible" None
-    (Rules.choose_label ~current:(frac 1 2) ~cached_min:F.one ~adv:(frac 2 3));
+  Alcotest.(check (option check_label)) "infeasible" None
+    (Net.choose_label ~current:(label 1 2) ~cached_min:Slr.Label.Mediant.one
+       ~adv:(label 2 3));
   (* keep current when it already satisfies Eq. 4 *)
-  Alcotest.(check (option check_frac)) "keep" (Some (frac 1 2))
-    (Rules.choose_label ~current:(frac 1 2) ~cached_min:(frac 2 3)
-       ~adv:(frac 1 3));
+  Alcotest.(check (option check_label)) "keep" (Some (label 1 2))
+    (Net.choose_label ~current:(label 1 2) ~cached_min:(label 2 3)
+       ~adv:(label 1 3));
   (* next element when it fits below the cached minimum *)
-  Alcotest.(check (option check_frac)) "next" (Some (frac 1 2))
-    (Rules.choose_label ~current:F.one ~cached_min:F.one ~adv:F.zero);
+  Alcotest.(check (option check_label)) "next" (Some (label 1 2))
+    (Net.choose_label ~current:Slr.Label.Mediant.one
+       ~cached_min:Slr.Label.Mediant.one ~adv:Slr.Label.Mediant.zero);
   (* split when the next element does not fit *)
-  Alcotest.(check (option check_frac)) "split" (Some (frac 3 5))
-    (Rules.choose_label ~current:(frac 2 3) ~cached_min:(frac 2 3)
-       ~adv:(frac 1 2))
-
-let test_successor_max () =
-  Alcotest.check check_frac "empty -> least" F.zero (Rules.successor_max []);
-  Alcotest.check check_frac "max" (frac 2 3)
-    (Rules.successor_max [ (1, frac 1 2); (2, frac 2 3); (3, frac 1 3) ])
+  Alcotest.(check (option check_label)) "split" (Some (label 3 5))
+    (Net.choose_label ~current:(label 2 3) ~cached_min:(label 2 3)
+       ~adv:(label 1 2))
 
 let test_example1 () =
   (* Fig. 1: T-A-B-C-D-E, request from E *)
@@ -509,10 +588,10 @@ let test_example1 () =
   | _ -> Alcotest.fail "no route");
   List.iteri
     (fun i expected ->
-      Alcotest.check check_frac
+      Alcotest.check check_label
         (Printf.sprintf "label of node %d" i)
         expected (Net.label net i))
-    [ frac 0 1; frac 1 2; frac 2 3; frac 3 4; frac 4 5; frac 5 6 ];
+    [ label 0 1; label 1 2; label 2 3; label 3 4; label 4 5; label 5 6 ];
   match Net.check_invariants net with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
@@ -523,19 +602,19 @@ let test_example2 () =
   List.iter (fun (a, b) -> Net.add_link net a b)
     [ (0, 1); (1, 2); (2, 6); (6, 7); (7, 8) ];
   (match Net.request net ~src:2 with Net.Routed _ -> () | _ -> assert false);
-  Net.seed_label net 6 (frac 2 3);
-  Net.seed_label net 7 (frac 2 3);
-  Net.seed_label net 8 (frac 3 4);
+  Net.seed_label net 6 (label 2 3);
+  Net.seed_label net 7 (label 2 3);
+  Net.seed_label net 8 (label 3 4);
   (match Net.request net ~src:8 with
   | Net.Routed { replier; _ } -> Alcotest.(check int) "A replies" 1 replier
   | _ -> Alcotest.fail "no route");
   List.iter
     (fun (i, expected) ->
-      Alcotest.check check_frac
+      Alcotest.check check_label
         (Printf.sprintf "label of node %d" i)
         expected (Net.label net i))
-    [ (8, frac 3 4); (7, frac 2 3); (6, frac 5 8); (2, frac 3 5);
-      (1, frac 1 2); (0, frac 0 1) ];
+    [ (8, label 3 4); (7, label 2 3); (6, label 5 8); (2, label 3 5);
+      (1, label 1 2); (0, label 0 1) ];
   match Net.check_invariants net with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
@@ -547,7 +626,7 @@ let test_simple_net_no_route () =
   | Net.No_route -> ()
   | _ -> Alcotest.fail "expected No_route");
   Alcotest.(check bool) "still unlabeled" true
-    (F.is_one (Net.label net 3))
+    (Slr.Label.is_one (Net.label net 3))
 
 let test_simple_net_break_and_repair () =
   let net = Net.create ~nodes:5 ~dest:0 in
@@ -604,7 +683,7 @@ let prop_simple_net_loop_free =
         ops)
 
 (* Same property on the unbounded label set. *)
-module UNet = Slr.Simple_net.Make (Slr.Ordinal.Unbounded_fraction)
+module UNet = Slr.Simple_net.Make (Slr.Label.Bigfrac_set)
 
 let prop_unbounded_net_loop_free =
   QCheck2.Test.make ~name:"unbounded SLR is loop-free under random schedules"
@@ -647,26 +726,6 @@ let test_dag () =
   Alcotest.(check bool) "does not reach" false
     (Slr.Dag.reaches ~successors ~src:0 ~dst:3 4)
 
-let test_topological_order () =
-  let labels = [| 0; 5; 3; 7 |] in
-  let successors = function 1 -> [ 2 ] | 2 -> [ 0 ] | 3 -> [ 1 ] | _ -> [] in
-  (match
-     Slr.Dag.topological_order ~compare:Int.compare
-       ~label:(fun i -> labels.(i))
-       ~successors 4
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "valid order rejected");
-  let bad = function 2 -> [ 1 ] | _ -> [] in
-  match
-    Slr.Dag.topological_order ~compare:Int.compare
-      ~label:(fun i -> labels.(i))
-      ~successors:bad 4
-  with
-  | Ok () -> Alcotest.fail "violation not caught"
-  | Error (i, j) ->
-      Alcotest.(check (pair int int)) "offending edge" (2, 1) (i, j)
-
 let qtest = QCheck_alcotest.to_alcotest
 
 let () =
@@ -708,6 +767,17 @@ let () =
           qtest prop_precedes_transitive;
           qtest prop_precedes_asymmetric;
         ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "rejects an out-of-order successor" `Quick
+            test_oracle_out_of_order;
+          Alcotest.test_case "rejects a raised label (Eq. 3)" `Quick
+            test_oracle_raised_label;
+          Alcotest.test_case "rejects a successor cycle" `Quick test_oracle_cycle;
+          Alcotest.test_case "accepts transitions through unassigned" `Quick
+            test_oracle_unassigned;
+          Alcotest.test_case "bad node id" `Quick test_oracle_bad_node;
+        ] );
       ( "neworder",
         [
           Alcotest.test_case "all five cases" `Quick test_neworder_cases;
@@ -728,10 +798,7 @@ let () =
           qtest prop_farey_never_wider_than_mediant;
         ] );
       ( "split-label",
-        [
-          Alcotest.test_case "choose_label" `Quick test_choose_label;
-          Alcotest.test_case "successor_max" `Quick test_successor_max;
-        ] );
+        [ Alcotest.test_case "choose_label" `Quick test_choose_label ] );
       ( "simple-net",
         [
           Alcotest.test_case "paper Example 1 (Fig. 1)" `Quick test_example1;
@@ -744,6 +811,5 @@ let () =
       ( "dag",
         [
           Alcotest.test_case "acyclicity" `Quick test_dag;
-          Alcotest.test_case "topological order" `Quick test_topological_order;
         ] );
     ]

@@ -197,16 +197,17 @@ let test_channel_half_duplex () =
 let test_channel_carrier_sense () =
   let e = Des.Engine.create () in
   let ch = line_channel e 4 in
-  Alcotest.(check bool) "idle" false (Ch.busy ch 1);
+  let busy i = Ch.busy_until ch i > Des.Engine.now e in
+  Alcotest.(check bool) "idle" false (busy 1);
   Ch.transmit ch ~src:0 ~duration:1e-3 "x";
-  Alcotest.(check bool) "busy in cs range (200 m)" true (Ch.busy ch 1);
-  Alcotest.(check bool) "busy at 400 m (within 550 cs)" true (Ch.busy ch 2);
-  Alcotest.(check bool) "idle at 600 m" false (Ch.busy ch 3);
+  Alcotest.(check bool) "busy in cs range (200 m)" true (busy 1);
+  Alcotest.(check bool) "busy at 400 m (within 550 cs)" true (busy 2);
+  Alcotest.(check bool) "idle at 600 m" false (busy 3);
   Alcotest.(check bool) "busy_until covers airtime" true
     (Ch.busy_until ch 1 >= 1e-3);
   ignore
     (Des.Engine.schedule e ~delay:2e-3 (fun () ->
-         Alcotest.(check bool) "idle after" false (Ch.busy ch 1)));
+         Alcotest.(check bool) "idle after" false (busy 1)));
   Des.Engine.run_all e
 
 let test_channel_neighbors () =
