@@ -1,197 +1,103 @@
-type t = {
-  trials : int;
-  duration : float;
-  flows : int;
-  full : bool;
-  quiet : bool;
-  jobs : int;
-  baseline : string option;
-  compare_sequential : bool;
-  out : string;
-  sections : string list;
-  resume : string option;
-  cell_timeout : float;
-  retries : int;
-  fail_fast : bool;
-  prof : bool;
-  prof_out : string option;
-  labels : Slr.Label_set.id;
-  labels_out : string;
-  scenario : Sim.Scenario.t;
-  scale : Sim.Config.scale option;
-  channel : Sim.Config.channel;
-  scale_out : string;
-  scale_baseline : string option;
-}
+(* The benchmark harness's command line: manet_sim's shared flag terms
+   (config, scale, scenario, campaign supervision, profiling) plus the
+   bench-only inputs below. Kept apart from the driver so tests can parse
+   argv through [Cmd.eval_value]. *)
 
-let default =
-  {
-    trials = 2;
-    duration = 120.0;
-    flows = Sim.Config.reproduction.Sim.Config.flows;
-    full = false;
-    quiet = false;
-    jobs = 1;
-    baseline = None;
-    compare_sequential = false;
-    out = "BENCH_campaign.json";
-    sections = [ "all" ];
-    resume = None;
-    cell_timeout = 0.0;
-    retries = 1;
-    fail_fast = false;
-    prof = false;
-    prof_out = None;
-    labels = Slr.Label_set.default;
-    labels_out = "BENCH_labels.json";
-    scenario = Sim.Scenario.default;
-    scale = None;
-    channel = Sim.Config.Grid;
-    scale_out = "BENCH_scale.json";
-    scale_baseline = None;
-  }
+open Cmdliner
 
 let known_sections =
   [ "table1"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "campaign"; "micro";
     "ablation"; "labels"; "scale"; "all" ]
 
-let usage =
-  "usage: main.exe [SECTION ...] [--trials N] [--duration S] [--flows N]\n\
-  \       [--full] [--quiet] [-j N | --jobs N] [--out PATH]\n\
-  \       [--check-regression PATH] [--compare-sequential]\n\
-  \       [--resume PATH] [--cell-timeout S] [--retries N] [--fail-fast]\n\
-  \       [--prof] [--prof-out PATH] [--labels SET] [--labels-out PATH]\n\
-  \       [--scenario NAME] [--scale PRESET] [--channel grid|naive]\n\
-  \       [--scale-out PATH] [--check-scale-regression PATH]\n\
-   sections: " ^ String.concat " " known_sections ^ " (default: all)\n\
-   -j N farms campaign cells over N domains; results are byte-identical\n\
-   whatever N is. --check-regression compares fresh throughput against the\n\
-   perf.events_per_sec_per_job recorded in PATH and exits 3 below 75% of it.\n\
-   --resume journals resolved campaign cells to PATH and skips the ones\n\
-   already journaled; --cell-timeout/--retries/--fail-fast set the\n\
-   supervision policy (crashed or wedged cells retry, then quarantine).\n\
-   --prof appends a perf_profile member (hot-path spans, per-domain GC) to\n\
-   the campaign JSON and prints a Profile section; --prof-out also writes\n\
-   the profile as Prometheus text (implies --prof).\n\
-   --labels SET runs the campaign sections with SRP minting labels from the\n\
-   given dense set (mediant|farey|bigfrac|lex; default mediant); the labels\n\
-   section sweeps all four instances on long-horizon SRP runs and writes\n\
-   the comparison to --labels-out (default BENCH_labels.json).\n\
-   --scenario NAME pins the campaign sections to a registered workload\n\
-   scenario (mobility + traffic models); the adversarial entry is not a\n\
-   benchmarkable workload and is rejected.\n\
-   --scale PRESET overlays a kilonode preset (100|1k|5k: nodes, terrain\n\
-   and flows at the paper's node density) on the campaign sections; the\n\
-   scale section ignores it and always sweeps all three presets on SRP\n\
-   runs, writing events/s per preset to --scale-out (default\n\
-   BENCH_scale.json). --check-scale-regression compares the fresh sweep\n\
-   against the per-scale events_per_sec in PATH and exits 3 when any\n\
-   preset falls below 75% of its committed number. --channel naive swaps\n\
-   the spatial-hash neighbour sweep for the O(n^2) oracle scan."
+type t = {
+  base : Sim.Config.t;
+      (** the campaign sections' configuration: the shared config flags
+          with [--full], [--scale] and [--scenario] overlaid *)
+  campaign : Flags.campaign;
+  sections : string list;  (** in command-line order, default [["all"]] *)
+  full : bool;  (** paper raw scale: 900 s, 30 flows, 10 campaign trials *)
+  out : string;  (** where the campaign JSON (with perf member) is written *)
+  baseline : string option;  (** [--check-regression PATH] *)
+  compare_sequential : bool;
+  labels_out : string;
+  scale_out : string;
+  scale_baseline : string option;  (** [--check-scale-regression PATH] *)
+}
 
-let ( let* ) = Result.bind
+let path_opt name ~doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"PATH" ~doc)
 
-let int_arg flag v =
-  match int_of_string_opt v with
-  | Some n when n > 0 -> Ok n
-  | Some _ -> Error (Printf.sprintf "%s: expected a positive integer, got %s" flag v)
-  | None -> Error (Printf.sprintf "%s: expected an integer, got %S" flag v)
+let path name default ~doc =
+  Arg.(value & opt string default & info [ name ] ~docv:"PATH" ~doc)
 
-let float_arg flag v =
-  match float_of_string_opt v with
-  | Some x when x > 0.0 -> Ok x
-  | Some _ -> Error (Printf.sprintf "%s: expected a positive number, got %s" flag v)
-  | None -> Error (Printf.sprintf "%s: expected a number, got %S" flag v)
-
-let parse args =
-  let rec go acc sections = function
-    | [] ->
-        Ok { acc with sections = (if sections = [] then [ "all" ] else List.rev sections) }
-    | [ flag ]
-      when List.mem flag
-             [ "--trials"; "--duration"; "--flows"; "--jobs"; "-j";
-               "--check-regression"; "--out"; "--resume"; "--cell-timeout";
-               "--retries"; "--prof-out"; "--labels"; "--labels-out";
-               "--scenario"; "--scale"; "--channel"; "--scale-out";
-               "--check-scale-regression" ] ->
-        Error (flag ^ ": missing argument")
-    | "--trials" :: v :: rest ->
-        let* trials = int_arg "--trials" v in
-        go { acc with trials } sections rest
-    | "--duration" :: v :: rest ->
-        let* duration = float_arg "--duration" v in
-        go { acc with duration } sections rest
-    | "--flows" :: v :: rest ->
-        let* flows = int_arg "--flows" v in
-        go { acc with flows } sections rest
-    | ("--jobs" | "-j") :: v :: rest ->
-        let* jobs = int_arg "--jobs" v in
-        go { acc with jobs } sections rest
-    | "--check-regression" :: v :: rest ->
-        go { acc with baseline = Some v } sections rest
-    | "--out" :: v :: rest -> go { acc with out = v } sections rest
-    | "--resume" :: v :: rest -> go { acc with resume = Some v } sections rest
-    | "--cell-timeout" :: v :: rest ->
-        let* cell_timeout = float_arg "--cell-timeout" v in
-        go { acc with cell_timeout } sections rest
-    | "--retries" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some retries when retries >= 0 -> go { acc with retries } sections rest
-        | Some _ ->
-            Error
-              (Printf.sprintf "--retries: expected a non-negative integer, got %s" v)
-        | None -> Error (Printf.sprintf "--retries: expected an integer, got %S" v))
-    | "--fail-fast" :: rest -> go { acc with fail_fast = true } sections rest
-    | "--prof" :: rest -> go { acc with prof = true } sections rest
-    | "--prof-out" :: v :: rest ->
-        go { acc with prof = true; prof_out = Some v } sections rest
-    | "--labels" :: v :: rest -> (
-        match Slr.Label_set.of_name v with
-        | Some labels -> go { acc with labels } sections rest
-        | None ->
-            Error
-              (Printf.sprintf
-                 "--labels: unknown label set %S (mediant|farey|bigfrac|lex)" v))
-    | "--labels-out" :: v :: rest -> go { acc with labels_out = v } sections rest
-    | "--scenario" :: v :: rest -> (
-        match Sim.Scenario.find v with
-        | Some sc when not (Sim.Scenario.is_adversarial sc) ->
-            go { acc with scenario = sc } sections rest
-        | Some sc ->
-            Error
-              (Printf.sprintf
-                 "--scenario: %S is adversarial, not a benchmarkable \
-                  workload (see manet_sim campaign --scenario)"
-                 sc.Sim.Scenario.name)
-        | None ->
-            Error
-              (Printf.sprintf "--scenario: unknown scenario %S (registered: %s)"
-                 v
-                 (String.concat ", " Sim.Scenario.names)))
-    | "--scale" :: v :: rest -> (
-        match Sim.Config.scale_of_name v with
-        | Some s -> go { acc with scale = Some s } sections rest
-        | None ->
-            Error
-              (Printf.sprintf "--scale: unknown preset %S (choices: %s)" v
-                 (String.concat ", " Sim.Config.scale_names)))
-    | "--channel" :: v :: rest -> (
-        match Sim.Config.channel_of_name v with
-        | Some channel -> go { acc with channel } sections rest
-        | None ->
-            Error
-              (Printf.sprintf "--channel: unknown channel %S (grid|naive)" v))
-    | "--scale-out" :: v :: rest -> go { acc with scale_out = v } sections rest
-    | "--check-scale-regression" :: v :: rest ->
-        go { acc with scale_baseline = Some v } sections rest
-    | "--compare-sequential" :: rest ->
-        go { acc with compare_sequential = true } sections rest
-    | "--full" :: rest -> go { acc with full = true } sections rest
-    | "--quiet" :: rest -> go { acc with quiet = true } sections rest
-    | s :: _ when String.length s > 0 && s.[0] = '-' ->
-        Error ("unknown flag " ^ s)
-    | s :: rest ->
-        if List.mem s known_sections then go acc (s :: sections) rest
-        else Error ("unknown section " ^ s)
+let term =
+  let open Term.Syntax in
+  let+ config = Flags.config_term
+  and+ scale = Flags.scale_term
+  and+ scenario = Flags.workload_scenario_term
+  and+ campaign = Flags.campaign_term ~trials:2
+  and+ sections =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun s -> (s, s)) known_sections)) []
+      & info [] ~docv:"SECTION"
+          ~doc:
+            "Sections to run: table1, fig3..fig7 and campaign share one \
+             campaign; micro, ablation, labels and scale run on their own. \
+             Default: all.")
+  and+ full =
+    Arg.(
+      value & flag
+      & info [ "full" ]
+          ~doc:"Paper raw scale: 900 s runs, 30 flows, 10 campaign trials.")
+  and+ out =
+    path "out" "BENCH_campaign.json"
+      ~doc:"Where the campaign JSON, with its perf member, is written."
+  and+ baseline =
+    path_opt "check-regression"
+      ~doc:
+        "Compare the fresh campaign's perf.events_per_sec_per_job against \
+         the one in $(docv); exit 3 below 75% of it."
+  and+ compare_sequential =
+    Arg.(
+      value & flag
+      & info [ "compare-sequential" ]
+          ~doc:"Also run the campaign at -j 1 and record the speedup.")
+  and+ labels_out =
+    path "labels-out" "BENCH_labels.json"
+      ~doc:"Where the labels section writes its four-instance comparison."
+  and+ scale_out =
+    path "scale-out" "BENCH_scale.json"
+      ~doc:"Where the scale section writes its per-preset events/s sweep."
+  and+ scale_baseline =
+    path_opt "check-scale-regression"
+      ~doc:
+        "Compare every preset's fresh events_per_sec against the one in \
+         $(docv); exit 3 when any falls below 75% of it."
   in
-  go default [] args
+  let config =
+    if full then
+      { config with
+        Sim.Config.duration = Sim.Config.paper.Sim.Config.duration;
+        flows = Sim.Config.paper.Sim.Config.flows;
+      }
+    else config
+  in
+  {
+    base = Flags.configure config scale scenario;
+    campaign;
+    sections = (if sections = [] then [ "all" ] else sections);
+    full;
+    out;
+    baseline;
+    compare_sequential;
+    labels_out;
+    scale_out;
+    scale_baseline;
+  }
+
+let info =
+  Cmd.info "main.exe"
+    ~doc:
+      "Regenerate the paper's Table I and Figs. 3-7, the micro-benchmarks, \
+       the ablations, the label-set showdown and the scale sweep."

@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Table I, Figs. 3-7), runs label-arithmetic and channel
    micro-benchmarks (E7), and two ablations of design choices called out in
-   DESIGN.md (E8). Argument parsing lives in {!Bench_cli} (testable); this
+   DESIGN.md (E8). The command line lives in {!Bench_cli} (testable); this
    file only drives the sections.
 
    The campaign behind table1/fig3..fig7 runs once and is shared, farmed
@@ -21,67 +21,21 @@ let wants_campaign opts =
 (* ------------------------------------------------------------------ *)
 (* The simulation campaign shared by Table I and Figs. 3-7 *)
 
-let base_config opts =
-  let base =
-    if opts.Bench_cli.full then { Sim.Config.paper with seed = 1 }
-    else
-      { Sim.Config.reproduction with
-        duration = opts.Bench_cli.duration;
-        flows = opts.Bench_cli.flows;
-        seed = 1;
-      }
-  in
-  let base = Sim.Config.with_channel base opts.Bench_cli.channel in
-  let base =
-    match opts.Bench_cli.scale with
-    | Some s -> Sim.Config.apply_scale s base
-    | None -> base
-  in
-  Sim.Scenario.apply opts.Bench_cli.scenario
-    (Sim.Config.with_labels base opts.Bench_cli.labels)
-
-(* The checkpoint (--resume) only arms on the measured pass: the sequential
-   reference pass of --compare-sequential must re-run every cell or its
-   wall-clock number is meaningless. *)
-let run_campaign ?checkpoint opts ~jobs =
-  let base = base_config opts in
-  let trials = if opts.Bench_cli.full then 10 else opts.Bench_cli.trials in
-  Format.printf
-    "campaign: %d nodes, %d flows, %.0f s runs, %d trials x %d pause times x \
-     %d protocols, %d job%s@."
-    base.Sim.Config.nodes base.Sim.Config.flows base.Sim.Config.duration trials
-    (List.length Sim.Config.paper_pause_times)
-    (List.length Sim.Config.all_protocols)
-    jobs
-    (if jobs = 1 then "" else "s");
-  if not opts.Bench_cli.full then
-    Format.printf
-      "(pause times scaled by %.3f to keep the paused-time fraction of the \
-       paper's 900 s runs)@."
-      (base.Sim.Config.duration /. 900.0);
-  let progress =
-    if opts.Bench_cli.quiet then fun _ -> () else prerr_endline
-  in
-  let pause_scale =
-    if opts.Bench_cli.full then 1.0 else base.Sim.Config.duration /. 900.0
-  in
-  let policy =
-    if opts.Bench_cli.fail_fast then Sim.Supervisor.fail_fast
-    else
-      {
-        Sim.Supervisor.default with
-        Sim.Supervisor.cell_timeout = opts.Bench_cli.cell_timeout;
-        retries = opts.Bench_cli.retries;
-      }
-  in
-  let started = Unix.gettimeofday () in
-  let campaign =
-    Sim.Experiment.run ~policy ?checkpoint
-      ?sabotage:(Sim.Sabotage.from_env ()) ~jobs ~pause_scale ~base
-      ~protocols:Sim.Config.all_protocols
-      ~pauses:Sim.Config.paper_pause_times ~trials ~progress ()
-  in
-  (campaign, Unix.gettimeofday () -. started)
+let render_sections opts ppf campaign =
+  List.iter
+    (fun (name, render) ->
+      if wants opts name || wants opts "campaign" then begin
+        Format.fprintf ppf "@.";
+        render ppf campaign
+      end)
+    [
+      ("table1", Sim.Report.table1);
+      ("fig3", Sim.Report.fig3);
+      ("fig4", Sim.Report.fig4);
+      ("fig5", Sim.Report.fig5);
+      ("fig6", Sim.Report.fig6);
+      ("fig7", Sim.Report.fig7);
+    ]
 
 (* The throughput record appended to the campaign JSON. Normalised
    events/s/job is what the regression gate compares: it is stable across
@@ -136,39 +90,131 @@ let perf_member ~jobs ~wall ~sequential_wall ~workers campaign =
           ("speedup", J.Float (if wall > 0.0 then sw /. wall else 0.0));
         ])
 
-let regression_gate ~baseline_path ~fresh_json =
+(* The measured campaign pass, after an optional sequential reference
+   pass; returns the JSON written to --out. *)
+let run_campaign opts =
+  let base = opts.Bench_cli.base in
+  let c = opts.Bench_cli.campaign in
+  let c = if opts.Bench_cli.full then { c with Flags.trials = 10 } else c in
+  Format.printf
+    "campaign: %d nodes, %d flows, %.0f s runs, %d trials x %d pause times x \
+     %d protocols, %d job%s@."
+    base.Sim.Config.nodes base.Sim.Config.flows base.Sim.Config.duration
+    c.Flags.trials
+    (List.length Sim.Config.paper_pause_times)
+    (List.length Sim.Config.all_protocols)
+    c.Flags.jobs
+    (if c.Flags.jobs = 1 then "" else "s");
+  let pause_scale = Flags.pause_scale base in
+  if pause_scale < 1.0 then
+    Format.printf
+      "(pause times scaled by %.3f to keep the paused-time fraction of the \
+       paper's 900 s runs)@."
+      pause_scale;
+  (* the reference pass must re-run every cell, so it never reads the
+     --resume journal, or its wall-clock number would be meaningless *)
+  let sequential_wall =
+    if opts.Bench_cli.compare_sequential && c.Flags.jobs > 1 then begin
+      Format.printf "sequential reference pass (-j 1):@.";
+      let started = Unix.gettimeofday () in
+      ignore (Flags.experiment ~jobs:1 ~base c : Sim.Experiment.t);
+      Some (Unix.gettimeofday () -. started)
+    end
+    else None
+  in
+  (* the measured pass owns the ledger: spans, counters and per-domain
+     GC deltas accumulated by the reference pass must not bleed in *)
+  Obs.reset ();
+  let perf ~wall campaign =
+    [
+      ( "perf",
+        perf_member ~jobs:c.Flags.jobs ~wall ~sequential_wall
+          ~workers:(Obs.snapshot ()).Obs.workers campaign );
+    ]
+  in
+  let wall, json =
+    Flags.campaign ~render:(render_sections opts) ~perf
+      ~json:(Some opts.Bench_cli.out) ~base c
+  in
+  Format.printf "@.campaign JSON written to %s@." opts.Bench_cli.out;
+  Option.iter
+    (fun sw ->
+      Format.printf "parallel speedup at -j %d: %.2fx (%.1fs -> %.1fs)@."
+        c.Flags.jobs
+        (if wall > 0.0 then sw /. wall else 0.0)
+        sw wall)
+    sequential_wall;
+  Option.get json
+
+(* A gate's baseline is read before anything runs: --out and --scale-out
+   may name the baseline file itself, and the gate must compare against
+   the committed figures, not the bytes the run is about to write. *)
+let read_baseline ~gate path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | contents -> (path, contents)
+  | exception Sys_error e ->
+      Format.eprintf "%s: %s@." gate e;
+      exit 2
+
+let number = function
+  | Some (J.Float x) -> Some x
+  | Some (J.Int n) -> Some (float_of_int n)
+  | _ -> None
+
+let campaign_rate json =
+  Option.to_list
+    (Option.map
+       (fun x -> ("campaign", x))
+       (number (J.path "perf.events_per_sec_per_job" json)))
+
+let scale_rates json =
+  match J.member "scales" json with
+  | Some (J.List presets) ->
+      List.filter_map
+        (fun p ->
+          match (J.member "scale" p, number (J.member "events_per_sec" p)) with
+          | Some (J.String name), Some eps -> Some (name, eps)
+          | _ -> None)
+        presets
+  | _ -> []
+
+(* Every rate the baseline names must hold 75% of its committed figure in
+   the fresh run — a kilonode-only slowdown must not hide behind a healthy
+   100-node one. Exit 3 below the floor, 2 when the baseline is unusable. *)
+let regression_gate ~gate ~unit ~rates (path, contents) fresh =
   let fail msg =
-    Format.eprintf "regression gate: %s@." msg;
+    Format.eprintf "%s: %s@." gate msg;
     exit 2
   in
-  let contents =
-    try In_channel.with_open_text baseline_path In_channel.input_all
-    with Sys_error e -> fail e
-  in
-  let baseline =
+  let base_rates =
     match J.parse contents with
-    | Ok j -> j
-    | Error e -> fail (baseline_path ^ ": " ^ e)
+    | Error e -> fail (path ^ ": " ^ e)
+    | Ok baseline -> (
+        match rates baseline with
+        | [] -> fail (path ^ ": no baseline figures")
+        | r -> r)
   in
-  let number path j =
-    match J.path path j with
-    | Some (J.Float x) -> x
-    | Some (J.Int n) -> float_of_int n
-    | _ -> fail (baseline_path ^ ": missing " ^ path)
+  let fresh_rates = rates fresh in
+  let failed =
+    List.filter_map
+      (fun (name, base) ->
+        let fresh =
+          Option.value (List.assoc_opt name fresh_rates) ~default:0.0
+        in
+        let floor = 0.75 *. base in
+        Format.printf "%s: %s fresh %.0f %s vs baseline %.0f (floor %.0f)@."
+          gate name fresh unit base floor;
+        if fresh < floor then Some (name, base, fresh) else None)
+      base_rates
   in
-  let base_rate = number "perf.events_per_sec_per_job" baseline in
-  let fresh_rate = number "perf.events_per_sec_per_job" fresh_json in
-  let floor = 0.75 *. base_rate in
-  Format.printf
-    "regression gate: fresh %.0f events/s/job vs baseline %.0f (floor %.0f)@."
-    fresh_rate base_rate floor;
-  if fresh_rate < floor then begin
-    Format.eprintf
-      "regression gate FAILED: %.0f events/s/job is below 75%% of the \
-       committed baseline %.0f@."
-      fresh_rate base_rate;
-    exit 3
-  end
+  match failed with
+  | [] -> ()
+  | (name, base, fresh) :: _ ->
+      Format.eprintf
+        "%s FAILED: %s at %.0f %s is below 75%% of the committed baseline \
+         %.0f@."
+        gate name fresh unit base;
+      exit 3
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks (E7, Bechamel) *)
@@ -331,7 +377,7 @@ let ablation_farey () =
 let ablation_srp_knobs opts =
   Format.printf "@.=== ablation: SRP heuristics at pause 0 (E8b) ===@.";
   let base =
-    { (base_config opts) with Sim.Config.protocol = Sim.Config.Srp; pause = 0.0 }
+    { opts.Bench_cli.base with Sim.Config.protocol = Sim.Config.Srp; pause = 0.0 }
   in
   let run name srp =
     let r = Sim.Runner.run { base with Sim.Config.srp } in
@@ -363,9 +409,9 @@ let ablation_srp_knobs opts =
 let labels_showdown opts =
   Format.printf "@.=== label-set showdown: SRP at pause 0 (E9) ===@.";
   let base =
-    { (base_config opts) with Sim.Config.protocol = Sim.Config.Srp; pause = 0.0 }
+    { opts.Bench_cli.base with Sim.Config.protocol = Sim.Config.Srp; pause = 0.0 }
   in
-  let trials = max 1 opts.Bench_cli.trials in
+  let trials = opts.Bench_cli.campaign.Flags.trials in
   Format.printf "%d trial%s x %.0f s per instance@." trials
     (if trials = 1 then "" else "s")
     base.Sim.Config.duration;
@@ -451,10 +497,7 @@ let labels_showdown opts =
         ("instances_tight_max_denom", J.List instances_tight);
       ]
   in
-  let oc = open_out opts.Bench_cli.labels_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
+  Flags.write_json opts.Bench_cli.labels_out json;
   Format.printf "label-set comparison written to %s@." opts.Bench_cli.labels_out
 
 (* ------------------------------------------------------------------ *)
@@ -488,11 +531,14 @@ let scale_sweep opts =
           seed = 1;
           pause = 0.0;
           protocol = Sim.Config.Srp;
-          channel = opts.Bench_cli.channel;
+          channel = opts.Bench_cli.base.Sim.Config.channel;
         }
     in
-    let config = Sim.Config.with_labels config opts.Bench_cli.labels in
-    if not opts.Bench_cli.quiet then
+    let config =
+      Sim.Config.with_labels config
+        opts.Bench_cli.base.Sim.Config.srp.Protocols.Srp.labels
+    in
+    if not opts.Bench_cli.campaign.Flags.quiet then
       Format.eprintf "scale %s: %d nodes, %d flows, %.0f s ...@."
         s.Sim.Config.scale_name config.Sim.Config.nodes
         config.Sim.Config.flows config.Sim.Config.duration;
@@ -527,149 +573,28 @@ let scale_sweep opts =
   in
   let sweep = List.map run_preset Sim.Config.scales in
   let json = J.Obj [ ("schema", J.String "bench-scale/1"); ("scales", J.List sweep) ] in
-  let oc = open_out opts.Bench_cli.scale_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
+  Flags.write_json opts.Bench_cli.scale_out json;
   Format.printf "scale sweep written to %s@." opts.Bench_cli.scale_out;
   json
 
-(* per-preset twin of {!regression_gate}: every scale's fresh events/s
-   must hold 75% of its committed number — a kilonode-only slowdown must
-   not hide behind a healthy 100-node figure *)
-let scale_regression_gate ~baseline_path ~baseline_contents ~fresh_json =
-  let fail msg =
-    Format.eprintf "scale regression gate: %s@." msg;
-    exit 2
-  in
-  let baseline =
-    match J.parse baseline_contents with
-    | Ok j -> j
-    | Error e -> fail (baseline_path ^ ": " ^ e)
-  in
-  let rates who j =
-    match J.member "scales" j with
-    | Some (J.List presets) ->
-        List.filter_map
-          (fun p ->
-            match (J.member "scale" p, J.member "events_per_sec" p) with
-            | Some (J.String name), Some (J.Float eps) -> Some (name, eps)
-            | Some (J.String name), Some (J.Int eps) ->
-                Some (name, float_of_int eps)
-            | _ -> None)
-          presets
-    | _ -> fail (who ^ ": missing scales list")
-  in
-  let base_rates = rates baseline_path baseline in
-  let fresh_rates = rates "fresh sweep" fresh_json in
-  let failed =
-    List.filter_map
-      (fun (name, base) ->
-        match List.assoc_opt name fresh_rates with
-        | None -> Some (name, base, 0.0)
-        | Some fresh ->
-            let floor = 0.75 *. base in
-            Format.printf
-              "scale regression gate: %s fresh %.0f events/s vs baseline \
-               %.0f (floor %.0f)@."
-              name fresh base floor;
-            if fresh < floor then Some (name, base, fresh) else None)
-      base_rates
-  in
-  match failed with
-  | [] -> ()
-  | (name, base, fresh) :: _ ->
-      Format.eprintf
-        "scale regression gate FAILED: %s at %.0f events/s is below 75%% of \
-         the committed baseline %.0f@."
-        name fresh base;
-      exit 3
-
 (* ------------------------------------------------------------------ *)
 
-let () =
-  (* same GC posture as manet_sim, so bench figures match CLI runs *)
-  Gc.set
-    { (Gc.get ()) with Gc.minor_heap_size = 2048 * 1024; space_overhead = 200 };
-  let opts =
-    match Bench_cli.parse (List.tl (Array.to_list Sys.argv)) with
-    | Ok opts -> opts
-    | Error msg ->
-        prerr_endline ("error: " ^ msg);
-        prerr_endline Bench_cli.usage;
-        exit 2
+let main opts =
+  let campaign_gate = "regression gate" and scale_gate = "scale regression gate" in
+  let campaign_baseline =
+    Option.map (read_baseline ~gate:campaign_gate) opts.Bench_cli.baseline
+  in
+  let scale_baseline =
+    Option.map (read_baseline ~gate:scale_gate) opts.Bench_cli.scale_baseline
   in
   let t0 = Unix.gettimeofday () in
   if wants_campaign opts then begin
-    if opts.Bench_cli.prof then Obs.enable ();
-    let sequential_wall =
-      if opts.Bench_cli.compare_sequential && opts.Bench_cli.jobs > 1 then begin
-        Format.printf "sequential reference pass (-j 1):@.";
-        let _, wall = run_campaign opts ~jobs:1 in
-        Some wall
-      end
-      else None
-    in
-    (* the measured pass owns the ledger: spans, counters and per-domain
-       GC deltas accumulated by the reference pass must not bleed in *)
-    Obs.reset ();
-    let campaign, wall =
-      run_campaign ?checkpoint:opts.Bench_cli.resume opts
-        ~jobs:opts.Bench_cli.jobs
-    in
-    let snapshot = Obs.snapshot () in
-    let ppf = Format.std_formatter in
-    let section name render =
-      if wants opts name || wants opts "campaign" then begin
-        Format.printf "@.";
-        render ppf campaign
-      end
-    in
-    section "table1" Sim.Report.table1;
-    section "fig3" Sim.Report.fig3;
-    section "fig4" Sim.Report.fig4;
-    section "fig5" Sim.Report.fig5;
-    section "fig6" Sim.Report.fig6;
-    section "fig7" Sim.Report.fig7;
-    (* machine-readable twin of the tables above, for plotting scripts;
-       the perf member rides along for the regression gate but the
-       campaign members themselves are byte-identical whatever -j was *)
-    let json =
-      match Sim.Report.campaign_json campaign with
-      | J.Obj members ->
-          J.Obj
-            (members
-            @ [
-                ( "perf",
-                  perf_member ~jobs:opts.Bench_cli.jobs ~wall ~sequential_wall
-                    ~workers:snapshot.Obs.workers campaign );
-              ]
-            @
-            if opts.Bench_cli.prof then
-              [ ("perf_profile", Sim.Report.profile_json snapshot) ]
-            else [])
-      | other -> other
-    in
-    let oc = open_out opts.Bench_cli.out in
-    output_string oc (J.to_string json);
-    output_char oc '\n';
-    close_out oc;
-    Format.printf "@.campaign JSON written to %s@." opts.Bench_cli.out;
-    if opts.Bench_cli.prof then
-      Format.printf "@.%a" Sim.Report.profile snapshot;
+    let fresh = run_campaign opts in
     Option.iter
-      (fun path -> Obs.Export.write_prometheus path snapshot)
-      opts.Bench_cli.prof_out;
-    (match sequential_wall with
-    | Some sw ->
-        Format.printf "parallel speedup at -j %d: %.2fx (%.1fs -> %.1fs)@."
-          opts.Bench_cli.jobs
-          (if wall > 0.0 then sw /. wall else 0.0)
-          sw wall
-    | None -> ());
-    match opts.Bench_cli.baseline with
-    | Some baseline_path -> regression_gate ~baseline_path ~fresh_json:json
-    | None -> ()
+      (fun baseline ->
+        regression_gate ~gate:campaign_gate ~unit:"events/s/job"
+          ~rates:campaign_rate baseline fresh)
+      campaign_baseline
   end;
   if wants opts "micro" then begin
     micro_labels ();
@@ -681,26 +606,15 @@ let () =
   end;
   if wants opts "labels" then labels_showdown opts;
   if wants opts "scale" then begin
-    (* snapshot the baseline before the sweep: --scale-out may point at
-       the same file, and the gate must compare against the committed
-       figures, not the bytes the sweep just wrote *)
-    let baseline =
-      Option.map
-        (fun baseline_path ->
-          match
-            try Ok (In_channel.with_open_text baseline_path In_channel.input_all)
-            with Sys_error e -> Error e
-          with
-          | Ok contents -> (baseline_path, contents)
-          | Error e ->
-              Format.eprintf "scale regression gate: %s@." e;
-              exit 2)
-        opts.Bench_cli.scale_baseline
-    in
-    let fresh_json = scale_sweep opts in
-    match baseline with
-    | Some (baseline_path, baseline_contents) ->
-        scale_regression_gate ~baseline_path ~baseline_contents ~fresh_json
-    | None -> ()
+    let fresh = scale_sweep opts in
+    Option.iter
+      (fun baseline ->
+        regression_gate ~gate:scale_gate ~unit:"events/s" ~rates:scale_rates
+          baseline fresh)
+      scale_baseline
   end;
   Format.printf "@.total wall time: %.1f s@." (Unix.gettimeofday () -. t0)
+
+let () =
+  Flags.eval
+    (Cmdliner.Cmd.v Bench_cli.info (Cmdliner.Term.map main Bench_cli.term))

@@ -4,288 +4,14 @@
 open Cmdliner
 
 let protocol_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "srp" -> Ok Sim.Config.Srp
-    | "ldr" -> Ok Sim.Config.Ldr
-    | "aodv" -> Ok Sim.Config.Aodv
-    | "dsr" -> Ok Sim.Config.Dsr
-    | "olsr" -> Ok Sim.Config.Olsr
-    | _ -> Error (`Msg (Printf.sprintf "unknown protocol %S" s))
-  in
-  let print ppf p = Format.pp_print_string ppf (Sim.Config.protocol_name p) in
-  Arg.conv (parse, print)
-
-let labels_conv =
-  let parse s =
-    match Slr.Label_set.of_name s with
-    | Some id -> Ok id
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown label set %S (mediant|farey|bigfrac|lex)"
-                s))
-  in
-  let print ppf id = Format.pp_print_string ppf (Slr.Label_set.name id) in
-  Arg.conv (parse, print)
-
-let labels_term =
-  Arg.(
-    value
-    & opt labels_conv Slr.Label_set.default
-    & info [ "labels" ] ~docv:"SET"
-        ~doc:
-          "Dense label set SRP mints feasible distances from: $(b,mediant) \
-           (the paper's bounded 32-bit fractions, default), $(b,farey) \
-           (minimal-denominator splits), $(b,bigfrac) (unbounded fractions \
-           — wider labels, never resets), or $(b,lex) (lexicographic byte \
-           strings). Other protocols ignore it.")
-
-let channel_conv =
-  let parse s =
-    match Sim.Config.channel_of_name s with
-    | Some c -> Ok c
-    | None -> Error (`Msg (Printf.sprintf "unknown channel %S (grid|naive)" s))
-  in
-  let print ppf c = Format.pp_print_string ppf (Sim.Config.channel_name c) in
-  Arg.conv (parse, print)
-
-let channel_term =
-  Arg.(
-    value
-    & opt channel_conv Sim.Config.Grid
-    & info [ "channel" ] ~docv:"PATH"
-        ~doc:
-          "Neighbour-sweep implementation: $(b,grid) (spatial hash, the \
-           default) or $(b,naive) (the O(n²) full scan kept as the \
-           property-tested oracle). The two are observationally identical; \
-           only wall-clock speed differs.")
-
-(* --scenario and --scale stay plain strings: unknown names must exit 2
-   with the registry listing (an Arg.conv parse failure would exit 124). *)
-let scenario_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "scenario" ] ~docv:"NAME"
-        ~doc:
-          "Named workload: one name bundles a mobility model, a traffic \
-           model and an optional fault or adversary plan into a seeded, \
-           reproducible scenario. $(b,default) is byte-identical to \
-           running with no scenario at all. An unknown name lists the \
-           registry and exits 2.")
-
-let scale_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "scale" ] ~docv:"PRESET"
-        ~doc:
-          "Scale preset: node count, terrain and flow count at the paper's \
-           node density ($(b,100), $(b,1k) or $(b,5k)). Overrides --nodes \
-           and --flows; composes with --scenario and --labels. An unknown \
-           preset lists the choices and exits 2.")
-
-let resolve_scale cmd name =
-  match Sim.Config.scale_of_name name with
-  | Some s -> s
-  | None ->
-      Printf.eprintf "%s: unknown scale %S\nscale presets: %s\n" cmd name
-        (String.concat ", " Sim.Config.scale_names);
-      exit 2
-
-let apply_scale cmd scale config =
-  match scale with
-  | None -> config
-  | Some name -> Sim.Config.apply_scale (resolve_scale cmd name) config
-
-let resolve_scenario cmd name =
-  match Sim.Scenario.find name with
-  | Some sc -> sc
-  | None ->
-      Printf.eprintf
-        "%s: unknown scenario %S\nregistered scenarios: %s\n" cmd name
-        (String.concat ", " Sim.Scenario.names);
-      exit 2
-
-(* workload-only commands (check, fuzz) reject the adversarial entry *)
-let workload_scenario cmd name =
-  let sc = resolve_scenario cmd name in
-  if Sim.Scenario.is_adversarial sc then begin
-    Printf.eprintf
-      "%s: scenario %S is adversarial; use `run --scenario` or `campaign \
-       --scenario` to replay it\n"
-      cmd sc.Sim.Scenario.name;
-    exit 2
-  end;
-  sc
-
-(* --faults switches the whole subsystem on; the knobs below tune it and
-   are inert without it. Defaults mirror Faults.Spec.default. *)
-let faults_term =
-  let open Term.Syntax in
-  let d = Faults.Spec.default in
-  let+ enabled =
-    Arg.(
-      value & flag
-      & info [ "faults" ]
-          ~doc:
-            "Enable fault injection: link flaps, node crashes, partitions \
-             and packet-loss bursts on a dedicated RNG substream.")
-  and+ flap_rate =
-    Arg.(
-      value
-      & opt float d.Faults.Spec.flap_rate
-      & info [ "flap-rate" ] ~doc:"Link flaps per second, network-wide.")
-  and+ flap_down =
-    Arg.(
-      value
-      & opt float d.Faults.Spec.flap_down_mean
-      & info [ "flap-down" ] ~doc:"Mean seconds a flapped link stays down.")
-  and+ crashes =
-    Arg.(
-      value
-      & opt int d.Faults.Spec.crashes
-      & info [ "crashes" ] ~doc:"Node crashes over the run.")
-  and+ crash_down =
-    Arg.(
-      value
-      & opt float d.Faults.Spec.crash_down_mean
-      & info [ "crash-down" ] ~doc:"Mean seconds a crashed node stays down.")
-  and+ partitions =
-    Arg.(
-      value
-      & opt int d.Faults.Spec.partitions
-      & info [ "partitions" ] ~doc:"Network partitions over the run.")
-  and+ partition_down =
-    Arg.(
-      value
-      & opt float d.Faults.Spec.partition_mean
-      & info [ "partition-down" ] ~doc:"Mean seconds a partition lasts.")
-  and+ burst_rate =
-    Arg.(
-      value
-      & opt float d.Faults.Spec.burst_rate
-      & info [ "burst-rate" ] ~doc:"Packet-loss bursts per second.")
-  and+ burst_down =
-    Arg.(
-      value
-      & opt float d.Faults.Spec.burst_mean
-      & info [ "burst-down" ] ~doc:"Mean seconds a loss burst lasts.")
-  and+ burst_drop =
-    Arg.(
-      value
-      & opt float d.Faults.Spec.burst_drop_p
-      & info [ "burst-drop" ]
-          ~doc:"Per-frame drop probability during a burst.")
-  in
-  if not enabled then Faults.Spec.none
-  else
-    {
-      Faults.Spec.flap_rate;
-      flap_down_mean = flap_down;
-      crashes;
-      crash_down_mean = crash_down;
-      partitions;
-      partition_mean = partition_down;
-      burst_rate;
-      burst_mean = burst_down;
-      burst_drop_p = burst_drop;
-      extra = [];
-    }
-
-let config_term =
-  let open Term.Syntax in
-  let+ nodes =
-    Arg.(value & opt int 100 & info [ "nodes" ] ~doc:"Number of nodes.")
-  and+ flows =
-    Arg.(
-      value
-      & opt int Sim.Config.reproduction.Sim.Config.flows
-      & info [ "flows" ] ~doc:"Concurrent CBR flows (paper: 30).")
-  and+ pause =
-    Arg.(
-      value & opt float 0.0
-      & info [ "pause" ] ~doc:"Random-waypoint pause time in seconds.")
-  and+ duration =
-    Arg.(
-      value & opt float 120.0
-      & info [ "duration" ] ~doc:"Simulated seconds (paper: 900).")
-  and+ seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Trial seed.")
-  and+ packet_rate =
-    Arg.(
-      value & opt float 4.0
-      & info [ "rate" ] ~doc:"Packets per second per flow.")
-  and+ faults = faults_term
-  and+ labels = labels_term
-  and+ channel = channel_term
-  in
-  Sim.Config.with_labels
-    {
-      Sim.Config.reproduction with
-      nodes;
-      flows;
-      pause;
-      duration;
-      seed;
-      packet_rate;
-      faults;
-      channel;
-    }
-    labels
-
-let jobs_term ~doc =
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-(* --prof / --prof-out: wall-clock profiling of the real hot paths. The
-   snapshot is taken after the work completes; simulated behaviour is
-   untouched (spans are wall-clock side-state outside the DES), so a
-   profiled run computes the exact same results. *)
-let prof_term =
-  let open Term.Syntax in
-  let+ prof =
-    Arg.(
-      value & flag
-      & info [ "prof" ]
-          ~doc:
-            "Profile the run: wall-clock span timers on the hot paths \
-             (event dispatch by kind, channel transmit, grid rebuilds, \
-             protocol handlers, trace writes) plus per-worker-domain GC \
-             deltas. Appends a perf_profile member to --json output and a \
-             Profile section to the report. Simulated results are \
-             unchanged.")
-  and+ prof_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "prof-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the profile as Prometheus text exposition to $(docv) \
-             (implies --prof).")
-  in
-  (prof || prof_out <> None, prof_out)
-
-(* append the profile to the envelope, print the human section, export
-   Prometheus text — the one place every profiled command funnels through *)
-let emit_profile snapshot ~prof_out envelope =
-  Format.printf "@.%a" Sim.Report.profile snapshot;
-  Option.iter
-    (fun path -> Obs.Export.write_prometheus path snapshot)
-    prof_out;
-  Option.map (fun j -> Sim.Report.add_profile j snapshot) envelope
-
-let write_json path json =
-  let oc = open_out path in
-  output_string oc (Trace.Json.to_string json);
-  output_char oc '\n';
-  close_out oc
+  Flags.name_conv Sim.Config.protocol_of_name Sim.Config.protocol_name
+    ~error:(Printf.sprintf "unknown protocol %S")
 
 let run_cmd =
   let doc = "Run one simulation and print the paper's metrics." in
   let term =
     let open Term.Syntax in
-    let+ config = config_term
+    let+ world = Flags.world_term
     and+ protocol =
       Arg.(
         value
@@ -314,32 +40,19 @@ let run_cmd =
         & opt (some string) None
         & info [ "json" ]
             ~doc:"Write the run's config and metrics to $(docv) as JSON.")
-    and+ jobs =
-      jobs_term
-        ~doc:
-          "Worker domains. A single run is one sequential event loop, so \
-           this is accepted for interface symmetry with $(b,campaign) and \
-           $(b,fuzz) but values above 1 change nothing here."
-    and+ prof, prof_out = prof_term
-    and+ scenario = scenario_term
-    and+ scale = scale_term
+    and+ prof, prof_out = Flags.prof_term
     in
-    ignore (jobs : int);
-    if prof then Obs.enable ();
-    let config = { config with Sim.Config.protocol } in
-    let config = apply_scale "run" scale config in
-    match Option.map (resolve_scenario "run") scenario with
-    | Some sc when Sim.Scenario.is_adversarial sc ->
+    match world with
+    | `Replay ->
         (* replay the van Glabbeek attack for this protocol only: the
            verdict is the output; exit 1 when the monitor saw a loop *)
-        let v = Sim.Scenario.run_adversarial ~protocol in
-        Format.printf "scenario %s: %s@.%a@." sc.Sim.Scenario.name
-          sc.Sim.Scenario.summary Sim.Scenario.pp_verdict v;
-        if Sim.Scenario.loop_detected v then exit 1
-    | sc ->
-    let config =
-      match sc with Some sc -> Sim.Scenario.apply sc config | None -> config
-    in
+        let v = Check.Adversarial.run ~protocol in
+        Format.printf "scenario %s: %s@.%a@." Flags.vg_forged_rrep
+          Check.Adversarial.summary Check.Adversarial.pp_verdict v;
+        if Check.Adversarial.loop_detected v then exit 1
+    | `Workload config ->
+    if prof then Obs.enable ();
+    let config = { config with Sim.Config.protocol } in
     let trace_oc = Option.map open_out trace_file in
     let trace =
       match trace_oc with
@@ -366,11 +79,11 @@ let run_cmd =
       | None -> None
     in
     let envelope =
-      if prof then emit_profile (Obs.snapshot ()) ~prof_out envelope
+      if prof then Flags.emit_profile (Obs.snapshot ()) ~prof_out envelope
       else envelope
     in
     Option.iter
-      (fun path -> write_json path (Option.get envelope))
+      (fun path -> Flags.write_json path (Option.get envelope))
       json_file
   in
   Cmd.v (Cmd.info "run" ~doc) term
@@ -382,11 +95,8 @@ let campaign_cmd =
   in
   let term =
     let open Term.Syntax in
-    let+ config = config_term
-    and+ trials =
-      Arg.(value & opt int 3 & info [ "trials" ] ~doc:"Trials per point.")
-    and+ quiet =
-      Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress progress.")
+    let+ world = Flags.world_term
+    and+ c = Flags.campaign_term ~trials:3
     and+ json_file =
       Arg.(
         value
@@ -395,46 +105,6 @@ let campaign_cmd =
             ~doc:
               "Write the campaign (per-cell metric summaries over the \
                protocol and pause axes) to $(docv) as JSON.")
-    and+ jobs =
-      jobs_term
-        ~doc:
-          "Run (protocol, pause, trial) cells on $(docv) worker domains. \
-           Per-cell results are merged in canonical order, so the report \
-           and --json output are byte-identical to -j 1; only stderr \
-           progress interleaving varies."
-    and+ resume =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "resume" ] ~docv:"FILE"
-            ~doc:
-              "Journal every resolved cell to $(docv) (append-only JSONL) \
-               and, when the file already holds cells of this exact \
-               campaign, restore them instead of re-running. A resumed \
-               campaign's report and --json output are byte-identical to a \
-               straight-through run.")
-    and+ cell_timeout =
-      Arg.(
-        value & opt float 0.0
-        & info [ "cell-timeout" ] ~docv:"SEC"
-            ~doc:
-              "Wall-clock budget per cell attempt; a cell past its budget \
-               is aborted (cooperatively, at the next engine watchdog \
-               check) and handled like a crash. 0 disables the timeout.")
-    and+ retries =
-      Arg.(
-        value & opt int 1
-        & info [ "retries" ] ~docv:"N"
-            ~doc:
-              "Re-run a crashed or timed-out cell up to $(docv) more times \
-               (deterministic exponential backoff) before quarantining it.")
-    and+ fail_fast =
-      Arg.(
-        value & flag
-        & info [ "fail-fast" ]
-            ~doc:
-              "Abort the whole campaign on the first cell failure instead \
-               of retrying and quarantining.")
     and+ sabotage =
       Arg.(
         value
@@ -445,105 +115,38 @@ let campaign_cmd =
                MODE:PROTOCOL:PAUSE:TRIAL[@FAILS] with MODE crash or hang \
                (e.g. crash:AODV:0:1, or crash:SRP:0:0@1 to fail only the \
                first attempt). Also read from MANET_SABOTAGE.")
-    and+ prof, prof_out = prof_term
-    and+ scenario = scenario_term
-    and+ scale = scale_term
     in
-    if prof then Obs.enable ();
-    let config = apply_scale "campaign" scale config in
-    match Option.map (resolve_scenario "campaign") scenario with
-    | Some sc when Sim.Scenario.is_adversarial sc ->
+    match world with
+    | `Replay ->
         (* adversarial campaign: replay the attack against every protocol
            and print one verdict per line. The suite fails (exit 1) only
            when SRP — provably loop-free — is caught looping. *)
-        Format.printf "scenario %s: %s@." sc.Sim.Scenario.name
-          sc.Sim.Scenario.summary;
-        let verdicts = Sim.Scenario.run_adversarial_all () in
+        Format.printf "scenario %s: %s@." Flags.vg_forged_rrep
+          Check.Adversarial.summary;
+        let verdicts = Check.Adversarial.run_all () in
         List.iter
-          (fun v -> Format.printf "%a@." Sim.Scenario.pp_verdict v)
+          (fun v -> Format.printf "%a@." Check.Adversarial.pp_verdict v)
           verdicts;
         let srp_looped =
           List.exists
             (fun v ->
-              v.Sim.Scenario.vprotocol = Sim.Config.Srp
-              && Sim.Scenario.loop_detected v)
+              v.Check.Adversarial.protocol = Sim.Config.Srp
+              && Check.Adversarial.loop_detected v)
             verdicts
         in
         if srp_looped then exit 1
-    | sc ->
-    let config =
-      match sc with Some sc -> Sim.Scenario.apply sc config | None -> config
-    in
-    (* live meter only on an interactive stderr: piped/redirected runs
-       (CI byte-comparisons included) see exactly the historical stream *)
-    let meter =
-      if (not quiet) && Unix.isatty Unix.stderr then
-        Some
-          (Obs.Progress.create
-             ~total:
-               (List.length Sim.Config.all_protocols
-               * List.length Sim.Config.paper_pause_times
-               * trials)
-             ())
-      else None
-    in
-    let progress =
-      if quiet then fun _ -> ()
-      else
-        match meter with
-        | Some m -> Obs.Progress.interject m
-        | None -> prerr_endline
-    in
-    let pause_scale = Stdlib.min 1.0 (config.Sim.Config.duration /. 900.0) in
-    let policy =
-      if fail_fast then Sim.Supervisor.fail_fast
-      else
-        {
-          Sim.Supervisor.default with
-          Sim.Supervisor.cell_timeout;
-          retries = Stdlib.max 0 retries;
-        }
-    in
-    let sabotage =
-      match sabotage with
-      | Some spec -> (
-          match Sim.Sabotage.of_string spec with
-          | Ok t -> Some t
-          | Error m ->
-              prerr_endline ("campaign: " ^ m);
-              exit 2)
-      | None -> Sim.Sabotage.from_env ()
-    in
-    match
-      Fun.protect
-        ~finally:(fun () -> Option.iter Obs.Progress.finish meter)
-        (fun () ->
-          Sim.Experiment.run ~policy ?checkpoint:resume ?sabotage ?meter
-            ~jobs ~pause_scale ~base:config
-            ~protocols:Sim.Config.all_protocols
-            ~pauses:Sim.Config.paper_pause_times ~trials ~progress ())
-    with
-    | campaign ->
-        Format.printf "%a@." Sim.Report.all campaign;
-        let envelope =
-          match json_file with
-          | Some _ -> Some (Sim.Report.campaign_json campaign)
-          | None -> None
+    | `Workload base ->
+        let sabotage =
+          Option.map
+            (fun spec ->
+              match Sim.Sabotage.of_string spec with
+              | Ok t -> t
+              | Error m ->
+                  prerr_endline ("campaign: " ^ m);
+                  exit 2)
+            sabotage
         in
-        let envelope =
-          if prof then emit_profile (Obs.snapshot ()) ~prof_out envelope
-          else envelope
-        in
-        Option.iter
-          (fun path -> write_json path (Option.get envelope))
-          json_file
-    | exception Sim.Pool.Cell_error { cell; exn } ->
-        Format.eprintf "campaign: aborted by cell %s: %s@." cell
-          (Printexc.to_string exn);
-        exit 1
-    | exception Sim.Experiment.Resume_error m ->
-        Format.eprintf "campaign: %s@." m;
-        exit 2
+        ignore (Flags.campaign ?sabotage ~json:json_file ~base c)
   in
   Cmd.v (Cmd.info "campaign" ~doc) term
 
@@ -555,20 +158,12 @@ let check_cmd =
   in
   let term =
     let open Term.Syntax in
-    let+ config = config_term
+    let+ config = Flags.workload_term
     and+ interval =
       Arg.(
-        value & opt float 1.0
+        value & opt Flags.positive 1.0
         & info [ "interval" ]
             ~doc:"Seconds between invariant sweeps (positive, finite).")
-    and+ scenario = scenario_term
-    and+ scale = scale_term
-    in
-    let config = apply_scale "check" scale config in
-    let config =
-      match Option.map (workload_scenario "check") scenario with
-      | Some sc -> Sim.Scenario.apply sc config
-      | None -> config
     in
     match
       Sim.Loopcheck.run { config with protocol = Sim.Config.Srp } ~interval
@@ -584,11 +179,6 @@ let check_cmd =
     | Error message ->
         Format.printf "VIOLATION: %s@." message;
         exit 1
-    | exception Invalid_argument message ->
-        Printf.eprintf
-          "check: %s\nTry 'manet_sim check --help' for more information.\n"
-          message;
-        exit 2
   in
   Cmd.v (Cmd.info "check" ~doc) term
 
@@ -741,8 +331,6 @@ let trace_cmd =
 (* fuzz: the property-based suite over label arithmetic, the abstract SLR
    executor, and whole simulations against the reference model            *)
 
-let fuzz_catalogue = Check.Props.all @ Sim.Fuzz.props
-
 let fuzz_cmd =
   let doc =
     "Run the property-based test suite: randomized label arithmetic, \
@@ -755,7 +343,7 @@ let fuzz_cmd =
     let open Term.Syntax in
     let+ max_cases =
       Arg.(
-        value & opt int 100
+        value & opt Flags.count 100
         & info [ "max-cases" ]
             ~doc:
               "Case budget per property; expensive properties (whole \
@@ -783,7 +371,7 @@ let fuzz_cmd =
         value & flag
         & info [ "list" ] ~doc:"List the property catalogue and exit.")
     and+ jobs =
-      jobs_term
+      Flags.jobs_term
         ~doc:
           "Run catalogue properties on $(docv) worker domains. Every case \
            draws from its own prop#case substream, so outcomes and reports \
@@ -791,33 +379,16 @@ let fuzz_cmd =
     and+ labels =
       Arg.(
         value
-        & opt (some labels_conv) None
+        & opt (some Flags.labels_conv) None
         & info [ "labels" ] ~docv:"SET"
             ~doc:
               "Pin every simulation-level property to this label-set \
                instance (mediant|farey|bigfrac|lex) instead of the default \
                catalogue, which fuzzes the mediant set plus one \
                model-agreement cell per other instance.")
-    and+ scenario = scenario_term
+    and+ scenario = Flags.workload_scenario_term
     in
-    let scenario = Option.map (workload_scenario "fuzz") scenario in
-    let fuzz_catalogue =
-      match (scenario, labels) with
-      | None, None -> fuzz_catalogue
-      | None, Some id -> Check.Props.all @ Sim.Fuzz.props_for id
-      | Some sc, _ ->
-          (* pin the simulation-level cells to the scenario's mobility and
-             traffic models (and --labels, when also given) *)
-          let w =
-            match sc.Sim.Scenario.body with
-            | Sim.Scenario.Workload w -> w
-            | Sim.Scenario.Adversarial -> assert false
-          in
-          Check.Props.all
-          @ Sim.Fuzz.props_pinned ?labels
-              ~mobility:w.Sim.Scenario.mobility
-              ~traffic:w.Sim.Scenario.traffic ()
-    in
+    let fuzz_catalogue = Check.Fuzz.catalogue ?labels ?scenario () in
     if list_props then
       List.iter
         (fun (Check.Runner.Packed c) ->
@@ -910,18 +481,11 @@ let labels_cmd =
   Cmd.v (Cmd.info "labels" ~doc) term
 
 let () =
-  (* A kilonode run schedules millions of short-lived closures whose
-     survivors churn the major heap: a roomier minor heap (16 MB) lets
-     most die young and a laxer space_overhead halves marking work.
-     Simulation results never depend on GC scheduling. *)
-  Gc.set
-    { (Gc.get ()) with Gc.minor_heap_size = 2048 * 1024; space_overhead = 200 };
   let doc =
     "Reproduction of 'Loop-Free Routing Using a Dense Label Set in Wireless \
      Networks' (ICDCS 2004)."
   in
   let info = Cmd.info "manet_sim" ~doc ~version:"1.0.0" in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [ run_cmd; campaign_cmd; check_cmd; fuzz_cmd; trace_cmd; labels_cmd ]))
+  Flags.eval
+    (Cmd.group info
+       [ run_cmd; campaign_cmd; check_cmd; fuzz_cmd; trace_cmd; labels_cmd ])

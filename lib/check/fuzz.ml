@@ -1,6 +1,7 @@
-module Gen = Check.Gen
-module Runner_c = Check.Runner
-module Topo = Check.Topo
+module Config = Sim.Config
+module Metrics = Sim.Metrics
+module Experiment = Sim.Experiment
+module Report = Sim.Report
 
 let asprintf = Format.asprintf
 
@@ -151,7 +152,7 @@ let sim_model_law_in to_config c =
   let model = Slr.Oracle.create ~nodes:config.Config.nodes in
   try
     let (_ : Metrics.result) =
-      Runner.run_custom config
+      Sim.Runner.run_custom config
         ~build:(fun _ ctx ->
           let t, agent =
             Protocols.Srp.create_full ~config:config.Config.srp ctx
@@ -167,7 +168,7 @@ let sim_model_law_in to_config c =
 let sim_model_law = sim_model_law_in to_config
 
 let prop_sim_model_with ?(name = "srp-sim-model") ?mobility ?traffic labels =
-  Runner_c.cell ~cost:10 ~name ~print:print_case
+  Runner.cell ~cost:10 ~name ~print:print_case
     (case_gen ~labels ?mobility ?traffic
        ~protocol:(Gen.pure Config.Srp)
        ~faults:
@@ -177,8 +178,6 @@ let prop_sim_model_with ?(name = "srp-sim-model") ?mobility ?traffic labels =
             ])
        ())
     sim_model_law
-
-let prop_sim_model = prop_sim_model_with (Gen.pure Slr.Label_set.default)
 
 (* the identical oracle per label-set instance — Def. 5 / Eq. 3 and global
    acyclicity are theorems about the ordering, not the concrete set *)
@@ -250,7 +249,7 @@ let conservation_law_in to_config c =
             Hashtbl.replace l.dropped (flow, seq) ()
         | _ -> ())
   in
-  let result = Runner.run ~trace (to_config c) in
+  let result = Sim.Runner.run ~trace (to_config c) in
   let metric_drops =
     List.fold_left (fun acc (_, n) -> acc + n) 0 result.Metrics.drop_reasons
   in
@@ -303,7 +302,7 @@ let conservation_law = conservation_law_in to_config
 
 let prop_conservation_with ?(name = "metrics-conservation") ?mobility ?traffic
     labels =
-  Runner_c.cell ~cost:10 ~name ~print:print_case
+  Runner.cell ~cost:10 ~name ~print:print_case
     (case_gen ~labels ?mobility ?traffic
        ~protocol:(Gen.elements Config.all_protocols)
        ~faults:
@@ -314,9 +313,6 @@ let prop_conservation_with ?(name = "metrics-conservation") ?mobility ?traffic
             ])
        ())
     conservation_law
-
-let prop_conservation =
-  prop_conservation_with (Gen.pure Slr.Label_set.default)
 
 (* ------------------------------------------------------------------ *)
 (* Scale smoke: the same two oracles on a reduced-horizon kilonode
@@ -331,12 +327,12 @@ let kilo_faults =
   Gen.frequency [ (2, Gen.pure Faults.Spec.none); (1, Topo.fault_spec ()) ]
 
 let prop_sim_model_1k =
-  Runner_c.cell ~cost:100 ~name:"srp-sim-model-1k" ~print:print_case
+  Runner.cell ~cost:100 ~name:"srp-sim-model-1k" ~print:print_case
     (kilo_case_gen ~protocol:(Gen.pure Config.Srp) ~faults:kilo_faults ())
     (sim_model_law_in to_config_kilo)
 
 let prop_conservation_1k =
-  Runner_c.cell ~cost:100 ~name:"metrics-conservation-1k" ~print:print_case
+  Runner.cell ~cost:100 ~name:"metrics-conservation-1k" ~print:print_case
     (kilo_case_gen
        ~protocol:(Gen.elements Config.all_protocols)
        ~faults:kilo_faults ())
@@ -408,44 +404,31 @@ let resume_equiv_law c =
 
 let prop_resume_equiv_with ?(name = "campaign-resume-equiv") ?mobility
     ?traffic labels =
-  Runner_c.cell ~cost:10 ~name ~print:print_resume_case
+  Runner.cell ~cost:10 ~name ~print:print_resume_case
     (resume_case_gen ~labels ?mobility ?traffic ())
     resume_equiv_law
 
-let prop_resume_equiv =
-  prop_resume_equiv_with (Gen.pure Slr.Label_set.default)
-
-let props =
-  [
-    prop_sim_model;
-    prop_conservation;
-    prop_resume_equiv;
-    prop_sim_model_1k;
-    prop_conservation_1k;
-  ]
-  @ List.map prop_sim_model_for
-      (List.filter
-         (fun id -> id <> Slr.Label_set.default)
-         Slr.Label_set.all)
-
-(* `manet_sim fuzz --labels <set>`: the core catalogue with every scenario
-   pinned to one instance (names unchanged, so --prop/--replay work the
-   same whatever instance is under test). *)
-let props_for id =
-  let labels = Gen.pure id in
-  [
-    prop_sim_model_with labels;
-    prop_conservation_with labels;
-    prop_resume_equiv_with labels;
-  ]
-
-(* `manet_sim fuzz --scenario <name>`: the core catalogue with every
-   generated case pinned to the scenario's mobility and traffic models
-   (cell names unchanged, so --prop/--replay stay stable). *)
-let props_pinned ?(labels = Slr.Label_set.default) ~mobility ~traffic () =
+(* The three core cells with every case pinned to one label-set instance
+   and, optionally, one scenario's mobility and traffic models. *)
+let core ?scenario labels =
   let labels = Gen.pure labels in
+  let mobility = Option.map (fun sc -> sc.Sim.Scenario.mobility) scenario in
+  let traffic = Option.map (fun sc -> sc.Sim.Scenario.traffic) scenario in
   [
-    prop_sim_model_with ~mobility ~traffic labels;
-    prop_conservation_with ~mobility ~traffic labels;
-    prop_resume_equiv_with ~mobility ~traffic labels;
+    prop_sim_model_with ?mobility ?traffic labels;
+    prop_conservation_with ?mobility ?traffic labels;
+    prop_resume_equiv_with ?mobility ?traffic labels;
   ]
+
+let catalogue ?labels ?scenario () =
+  Props.all
+  @
+  match (labels, scenario) with
+  | None, None ->
+      core Slr.Label_set.default
+      @ [ prop_sim_model_1k; prop_conservation_1k ]
+      @ List.map prop_sim_model_for
+          (List.filter
+             (fun id -> id <> Slr.Label_set.default)
+             Slr.Label_set.all)
+  | _ -> core ?scenario (Option.value labels ~default:Slr.Label_set.default)

@@ -3,8 +3,8 @@
     {!Slr.Label.S} instances), SRP-over-wire agreement with the one
     loop-freedom oracle {!Slr.Oracle}, and spatial-grid/naive channel
     equivalence ([channel-grid-equiv]). Everything here runs without the full
-    simulator; the sim-level properties live in [Sim.Fuzz] and the CLI
-    concatenates both catalogues. *)
+    simulator; the sim-level properties live in {!Fuzz}, whose
+    {!Fuzz.catalogue} is the one place both catalogues are joined. *)
 
 (** Reusable generators (also used by the unit-test suites). *)
 

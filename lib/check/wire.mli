@@ -4,9 +4,10 @@
     loss scripts, and direct injection of forged frames.
 
     This sits between the abstract executor ({!Slr.Simple_net}, over one
-    {!Slr.Label.S} instance) and the full simulator: real protocol agents exchange real frames, but the medium is
-    a programmable test double — no MAC contention, no mobility — so a test
-    can pin one precise interleaving (the van Glabbeek AODV replay) or fuzz
+    {!Slr.Label.S} instance) and the full simulator: real protocol agents
+    exchange real frames, but the medium is a programmable test double —
+    no MAC contention, no mobility — so a checker can pin one precise
+    interleaving (the van Glabbeek replay, {!Adversarial}) or fuzz
     millions of them (random jitter and loss), and every run is a pure
     function of the RNG substream. SRP agents on the wire are checked by
     the one loop-freedom oracle, {!Slr.Oracle}, through

@@ -1,26 +1,23 @@
-(** The scenario registry: one name ([--scenario NAME]) bundles a mobility
-    model, a traffic model and an optional fault or adversary plan into a
-    seeded, reproducible workload.
+(** The workload scenario registry: one name ([--scenario NAME]) bundles a
+    mobility model, a traffic model and an optional fault plan into a
+    seeded, reproducible campaign workload, overlaid onto a configuration
+    by {!apply}. The [default] entry pins the paper's random-waypoint +
+    CBR workload and is byte-identical to a run with no scenario at all.
 
-    Two kinds of entries. {e Workload} scenarios parameterize an ordinary
-    campaign through {!apply} — the [default] entry pins the paper's
-    random-waypoint + CBR workload and is byte-identical to a run with no
-    scenario at all. The {e adversarial} entry replays the van Glabbeek
-    AODV counterexample (3 nodes, repair race, forged stale route reply)
-    against any of the five protocols over the {!Check.Wire} harness with
-    an online loop monitor armed. *)
+    The adversarial van Glabbeek replay is not a workload and is not
+    registered here: it is a checker in the [check] library, which sits
+    above this one, and the CLI offers it under its own [--scenario]
+    name. *)
 
-type workload = {
+type t = {
+  name : string;
+  summary : string;
   mobility : Wireless.Mobility.id;
   traffic : Traffic.Model.id;
   faults : Faults.Spec.t option;
       (** a plan the scenario arms by default; an explicitly configured
           fault spec takes precedence in {!apply} *)
 }
-
-type body = Workload of workload | Adversarial
-
-type t = { name : string; summary : string; body : body }
 
 (** Registered scenarios, the [default] entry first. *)
 val all : t list
@@ -32,34 +29,7 @@ val names : string list
 
 val find : string -> t option
 
-val is_adversarial : t -> bool
-
-(** Overlay a workload scenario onto a campaign configuration: sets the
-    mobility and traffic instances, and arms the scenario's fault plan
-    unless the configuration already carries one.
-    @raise Invalid_argument on an adversarial scenario. *)
+(** Overlay a scenario onto a campaign configuration: sets the mobility
+    and traffic instances, and arms the scenario's fault plan unless the
+    configuration already carries one. *)
 val apply : t -> Config.t -> Config.t
-
-(** One protocol's outcome under the adversarial replay. *)
-type verdict = {
-  vprotocol : Config.protocol;
-  flagged : bool;  (** the online monitor saw a routing loop mid-run *)
-  final_cycle : bool;  (** the next-hop graph toward the destination ends cyclic *)
-  forged : bool;  (** a forged frame was injected for this protocol *)
-  detail : string;  (** human-readable outcome *)
-}
-
-(** Did any monitor — online or final — see a loop? *)
-val loop_detected : verdict -> bool
-
-val pp_verdict : Format.formatter -> verdict -> unit
-
-(** Run the van Glabbeek replay for one protocol: discovery through the
-    middle node, link break, repair race, forged stale advertisement in
-    the protocol's own message vocabulary, 30 s of settling. Deterministic
-    (fixed harness seed). *)
-val run_adversarial : protocol:Config.protocol -> verdict
-
-(** {!run_adversarial} for all five protocols, in {!Config.all_protocols}
-    order. *)
-val run_adversarial_all : unit -> verdict list

@@ -27,8 +27,8 @@ for example in quickstart multipath_insertion conference_room; do
 done
 
 # telemetry smoke: a traced run must emit parseable JSONL and a --json
-# result file with the documented keys, and same-seed traces must agree
-# byte for byte
+# result file with the documented keys, same-seed traces must agree byte
+# for byte, and tracing must leave stdout at its committed golden
 dune exec bin/manet_sim.exe -- run --nodes 30 --duration 30 \
   --trace-file "$tmp/a.jsonl" --sample-every 5 --json "$tmp/run.json" \
   > "$tmp/out_a.txt" 2> /dev/null
@@ -37,6 +37,7 @@ dune exec bin/manet_sim.exe -- run --nodes 30 --duration 30 \
   > "$tmp/out_b.txt" 2> /dev/null
 cmp "$tmp/a.jsonl" "$tmp/b.jsonl"
 cmp "$tmp/out_a.txt" "$tmp/out_b.txt"
+cmp "$tmp/out_a.txt" scripts/golden/run_default.txt
 dune exec bin/manet_sim.exe -- trace "$tmp/a.jsonl" --validate
 dune exec bin/manet_sim.exe -- trace "$tmp/run.json" --validate \
   --require schema --require config.protocol --require config.seed \
@@ -46,8 +47,15 @@ dune exec bin/manet_sim.exe -- trace "$tmp/run.json" --validate \
 # fuzz smoke: the property-based suite (label arithmetic, Algorithm 1,
 # abstract SLR executions, SRP-vs-reference-model, packet conservation,
 # spatial-grid/naive channel equivalence) on a fixed seed must pass with
-# zero violations
-dune exec bin/manet_sim.exe -- fuzz --max-cases 200 --seed 7
+# zero violations and reproduce its committed report at -j 1 and -j 2,
+# and the catalogue listing must match its golden
+dune exec bin/manet_sim.exe -- fuzz --list > "$tmp/fuzz_list.txt"
+cmp "$tmp/fuzz_list.txt" scripts/golden/fuzz_list.txt
+for jobs in 1 2; do
+  dune exec bin/manet_sim.exe -- fuzz --max-cases 200 --seed 7 -j "$jobs" \
+    > "$tmp/fuzz_seed7.txt"
+  cmp "$tmp/fuzz_seed7.txt" scripts/golden/fuzz_seed7.txt
+done
 
 # parallel-determinism smoke: the same seeded campaign on 2 worker domains
 # must produce byte-identical stdout and JSON to the sequential run
@@ -79,7 +87,9 @@ for set in farey bigfrac lex; do
 done
 # ... and the fixed-seed fuzz catalogue must hold with scenarios pinned to
 # a non-default instance (the identical Ordering-Criteria oracle applies)
-dune exec bin/manet_sim.exe -- fuzz --max-cases 25 --seed 7 --labels bigfrac
+dune exec bin/manet_sim.exe -- fuzz --max-cases 25 --seed 7 --labels bigfrac \
+  > "$tmp/fuzz_bigfrac.txt"
+cmp "$tmp/fuzz_bigfrac.txt" scripts/golden/fuzz_bigfrac.txt
 
 # scenario smoke: the default scenario must reproduce the committed golden
 # bytes (the registry refactor is free on the paper's workload), an unknown
@@ -110,14 +120,15 @@ done
 # ... the fixed-seed fuzz catalogue must hold with simulation cells pinned
 # to a non-default scenario's mobility + traffic models
 dune exec bin/manet_sim.exe -- fuzz --max-cases 25 --seed 7 \
-  --scenario downtown
+  --scenario downtown > "$tmp/fuzz_downtown.txt"
+cmp "$tmp/fuzz_downtown.txt" scripts/golden/fuzz_downtown.txt
 
 # adversarial smoke: the van Glabbeek replay plus forged stale route reply
-# must catch AODV looping while SRP stays green under its reference model
+# must catch AODV looping while SRP stays green under its reference model,
+# verdict for verdict as committed
 dune exec bin/manet_sim.exe -- campaign --scenario vg-forged-rrep \
   > "$tmp/adversarial.txt" 2> /dev/null
-grep -q "^AODV  LOOP" "$tmp/adversarial.txt"
-grep -q "^SRP   ok" "$tmp/adversarial.txt"
+cmp "$tmp/adversarial.txt" scripts/golden/vg_forged_rrep.txt
 
 # throughput regression gate: rerun the committed baseline's reduced
 # campaign (same flags as the BENCH_campaign.json snapshot) and fail when
@@ -204,6 +215,19 @@ if "$SIM" run --scale 10k > /dev/null 2> "$tmp/scale_err.txt"; then
   exit 1
 fi
 grep -q "scale presets:" "$tmp/scale_err.txt"
+
+# usage errors: both front ends parse through one flag layer, so a
+# malformed number and an unknown preset exit 2 from each of them
+for cmd in "$SIM run" "$SIM campaign" _build/default/bench/main.exe; do
+  for args in "--duration nan" "--scale 10k"; do
+    status=0
+    $cmd $args > /dev/null 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+      echo "check.sh: $cmd $args exited $status, not 2" >&2
+      exit 1
+    fi
+  done
+done
 
 # events/s regression gate: rerun the committed BENCH_scale.json sweep
 # (100/1k/5k presets, reduced horizons) and fail when any preset's

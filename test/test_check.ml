@@ -101,8 +101,7 @@ let test_replay_byte_identical () =
 
 let test_catalogue_fixed_seed () =
   let outcomes =
-    Runner.run_suite ~seed:42 ~max_cases:30
-      (Check.Props.all @ Sim.Fuzz.props)
+    Runner.run_suite ~seed:42 ~max_cases:30 (Check.Fuzz.catalogue ())
   in
   Alcotest.(check bool) "catalogue is non-trivial" true
     (List.length outcomes >= 12);

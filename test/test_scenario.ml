@@ -2,20 +2,20 @@
    determinism (byte-identical JSONL traces), golden equivalence of the
    default scenario against the committed pre-refactor campaign output at
    -j 1 and -j 4, the adversarial van Glabbeek replay (AODV loops, SRP
-   stays green), and catalogue presence of the per-model fuzz properties. *)
+   stays green; [Check.Adversarial]), and catalogue presence of the
+   per-model fuzz properties. *)
 
 module C = Sim.Config
 module Sc = Sim.Scenario
 
-let workload_scenarios = List.filter (fun sc -> not (Sc.is_adversarial sc)) Sc.all
 let scenario name = Option.get (Sc.find name)
 
 (* ------------------------------------------------------------------ *)
 (* Registry round-trip *)
 
 let test_registry () =
-  Alcotest.(check bool) "at least the issue's scenarios registered" true
-    (List.length Sc.all >= 10);
+  Alcotest.(check bool) "every workload scenario registered" true
+    (List.length Sc.all >= 9);
   Alcotest.(check string) "default entry first" "default" Sc.default.Sc.name;
   List.iter
     (fun sc ->
@@ -28,9 +28,7 @@ let test_registry () =
     "names lists the registry in order"
     (List.map (fun sc -> sc.Sc.name) Sc.all)
     Sc.names;
-  Alcotest.(check bool) "unknown name rejected" true (Sc.find "no-such" = None);
-  Alcotest.(check int) "exactly one adversarial entry" 1
-    (List.length (List.filter Sc.is_adversarial Sc.all))
+  Alcotest.(check bool) "unknown name rejected" true (Sc.find "no-such" = None)
 
 let test_apply () =
   let base = C.reproduction in
@@ -50,10 +48,7 @@ let test_apply () =
   let explicit = { Faults.Spec.default with Faults.Spec.crashes = 9 } in
   let kept = Sc.apply (scenario "hostile") { base with C.faults = explicit } in
   Alcotest.(check int) "explicit faults take precedence" 9
-    kept.C.faults.Faults.Spec.crashes;
-  match Sc.apply (scenario "vg-forged-rrep") base with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "apply on the adversarial entry must raise"
+    kept.C.faults.Faults.Spec.crashes
 
 (* ------------------------------------------------------------------ *)
 (* Per-scenario seed determinism: same seed, same bytes — report and the
@@ -158,23 +153,25 @@ let test_default_matches_golden ~jobs () =
 (* Adversarial replay: the van Glabbeek counterexample plus a forged
    stale advertisement must catch AODV looping while SRP stays green. *)
 
+module Adv = Check.Adversarial
+
 let test_adversarial_verdicts () =
-  let verdicts = Sc.run_adversarial_all () in
+  let verdicts = Adv.run_all () in
   Alcotest.(check int) "one verdict per protocol" 5 (List.length verdicts);
-  let verdict p = List.find (fun v -> v.Sc.vprotocol = p) verdicts in
+  let verdict p = List.find (fun v -> v.Adv.protocol = p) verdicts in
   Alcotest.(check bool) "AODV caught looping" true
-    (Sc.loop_detected (verdict C.Aodv));
+    (Adv.loop_detected (verdict C.Aodv));
   Alcotest.(check bool) "AODV online monitor fired" true
-    (verdict C.Aodv).Sc.flagged;
+    (verdict C.Aodv).Adv.flagged;
   Alcotest.(check bool) "SRP stays loop-free under the forgery" false
-    (Sc.loop_detected (verdict C.Srp));
+    (Adv.loop_detected (verdict C.Srp));
   List.iter
     (fun v ->
-      Alcotest.(check bool) "forged frame injected" true v.Sc.forged)
+      Alcotest.(check bool) "forged frame injected" true v.Adv.forged)
     verdicts;
-  let render vs = List.map (Format.asprintf "%a" Sc.pp_verdict) vs in
+  let render vs = List.map (Format.asprintf "%a" Adv.pp_verdict) vs in
   Alcotest.(check (list string)) "replay is deterministic" (render verdicts)
-    (render (Sc.run_adversarial_all ()))
+    (render (Adv.run_all ()))
 
 (* ------------------------------------------------------------------ *)
 (* The per-model fuzz properties ride in the shrinking catalogue. *)
@@ -240,7 +237,7 @@ let () =
                  (sc.Sc.name ^ " byte-deterministic")
                  `Slow
                  (test_scenario_determinism sc))
-             workload_scenarios );
+             Sc.all );
       ( "golden",
         [
           Alcotest.test_case "default == pre-refactor bytes (-j 1)" `Slow
