@@ -346,6 +346,22 @@ let supervision_term =
   in
   (policy, resume)
 
+let sabotage_term =
+  let sabotage_conv =
+    Arg.conv'
+      ( Sim.Sabotage.of_string,
+        fun ppf t -> Format.pp_print_string ppf (Sim.Sabotage.to_string t) )
+  in
+  Arg.(
+    value
+    & opt (some sabotage_conv) None
+    & info [ "sabotage" ] ~docv:"SPEC"
+        ~doc:
+          "Deterministic failure injection for testing the supervisor: \
+           MODE:PROTOCOL:PAUSE:TRIAL[@FAILS] with MODE crash or hang (e.g. \
+           crash:AODV:0:1, or crash:SRP:0:0@1 to fail only the first \
+           attempt).")
+
 type campaign = {
   trials : int;
   jobs : int;
@@ -392,8 +408,7 @@ let write_json path json =
    paused-time fraction it has in the paper's 900 s runs. *)
 let pause_scale base = Stdlib.min 1.0 (base.Sim.Config.duration /. 900.0)
 
-(* One supervised campaign over the paper's protocols and pause times.
-   [sabotage] defaults to the MANET_SABOTAGE environment variable. *)
+(* One supervised campaign over the paper's protocols and pause times. *)
 let experiment ?sabotage ?checkpoint ~jobs ~base c =
   if c.prof then Obs.enable ();
   (* live meter only on an interactive stderr: piped/redirected runs
@@ -415,9 +430,6 @@ let experiment ?sabotage ?checkpoint ~jobs ~base c =
       match meter with
       | Some m -> Obs.Progress.interject m
       | None -> prerr_endline
-  in
-  let sabotage =
-    match sabotage with Some _ -> sabotage | None -> Sim.Sabotage.from_env ()
   in
   match
     Fun.protect

@@ -105,17 +105,7 @@ let campaign_cmd =
             ~doc:
               "Write the campaign (per-cell metric summaries over the \
                protocol and pause axes) to $(docv) as JSON.")
-    and+ sabotage =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "sabotage" ] ~docv:"SPEC"
-            ~doc:
-              "Deterministic failure injection for testing the supervisor: \
-               MODE:PROTOCOL:PAUSE:TRIAL[@FAILS] with MODE crash or hang \
-               (e.g. crash:AODV:0:1, or crash:SRP:0:0@1 to fail only the \
-               first attempt). Also read from MANET_SABOTAGE.")
-    in
+    and+ sabotage = Flags.sabotage_term in
     match world with
     | `Replay ->
         (* adversarial campaign: replay the attack against every protocol
@@ -136,16 +126,6 @@ let campaign_cmd =
         in
         if srp_looped then exit 1
     | `Workload base ->
-        let sabotage =
-          Option.map
-            (fun spec ->
-              match Sim.Sabotage.of_string spec with
-              | Ok t -> t
-              | Error m ->
-                  prerr_endline ("campaign: " ^ m);
-                  exit 2)
-            sabotage
-        in
         ignore (Flags.campaign ?sabotage ~json:json_file ~base c)
   in
   Cmd.v (Cmd.info "campaign" ~doc) term

@@ -569,7 +569,6 @@ let pending_law c =
     Protocols.Pending.create ~ttl:c.pending_ttl ~engine ~capacity:c.capacity
       ~drop:(fun data ~size:_ ~reason ->
         drops := (data.Wireless.Frame.seq, reason) :: !drops)
-      ()
   in
   (* model: live entries in arrival order, and the expected drop multiset *)
   let entries : (int * float) list ref = ref [] in

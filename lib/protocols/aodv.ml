@@ -67,9 +67,7 @@ type t = {
   ctx : Routing_intf.ctx;
   config : config;
   routes : (int, route) Hashtbl.t;
-  seen : Seen_cache.t;
-  pending : Pending.t;
-  mutable discovery : Discovery.t option;
+  core : On_demand.t;
   mutable self_seqno : int;
   mutable next_rreq_id : int;
   mutable on_change : int -> unit;  (** fires with the destination id *)
@@ -125,43 +123,20 @@ let update_route t ~dst ~seqno ~hops ~next_hop =
   end;
   better
 
-let control_frame t ~dst ~size ~payload =
-  let kind =
-    match payload with
-    | Rreq _ -> "rreq"
-    | Rrep _ -> "rrep"
-    | Rerr _ -> "rerr"
-    | _ -> "ctl"
-  in
-  Frame.with_kind (Frame.make ~src:t.ctx.Routing_intf.id ~dst ~size ~payload) kind
-
 let send_rerr t ~entries ~to_ =
   if entries <> [] then
-    t.ctx.Routing_intf.mac_send
-      (control_frame t ~dst:to_ ~size:t.config.rerr_size
-         ~payload:(Rerr { re_unreachable = entries }))
-
-let data_frame t ~next_hop data ~size =
-  Frame.make ~src:t.ctx.Routing_intf.id ~dst:(Frame.Unicast next_hop)
-    ~size:(size + t.config.ip_overhead)
-    ~payload:(Frame.Data data)
+    On_demand.send_control t.ctx ~kind:"rerr" ~dst:to_ ~size:t.config.rerr_size
+      (Rerr { re_unreachable = entries })
 
 let forward_data t data ~size =
   match valid_route t data.Frame.final_dst with
   | None -> false
   | Some r ->
-      data.Frame.hops <- data.Frame.hops + 1;
-      if data.Frame.hops > t.config.data_ttl then begin
-        t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded";
-        true
-      end
-      else begin
-        refresh t r;
-        Trace.pkt_forward t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
-          ~flow:data.Frame.flow ~seq:data.Frame.seq ~next:r.next_hop;
-        t.ctx.Routing_intf.mac_send (data_frame t ~next_hop:r.next_hop data ~size);
-        true
-      end
+      if
+        On_demand.hop t.ctx ~data_ttl:t.config.data_ttl
+          ~ip_overhead:t.config.ip_overhead ~next_hop:r.next_hop data ~size
+      then refresh t r;
+      true
 
 let requested_seqno t dst =
   match Hashtbl.find_opt t.routes dst with
@@ -185,19 +160,17 @@ let originate_rreq t ~dst ~ttl =
       rq_ttl = ttl;
     }
   in
-  t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:Frame.Broadcast ~size:t.config.rreq_size
-       ~payload:(Rreq rreq))
+  On_demand.send_control t.ctx ~kind:"rreq" ~dst:Frame.Broadcast
+    ~size:t.config.rreq_size (Rreq rreq)
 
 let send_rrep t ~to_ rrep =
-  t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.config.rrep_size
-       ~payload:(Rrep rrep))
+  On_demand.send_control t.ctx ~kind:"rrep" ~dst:(Frame.Unicast to_)
+    ~size:t.config.rrep_size (Rrep rrep)
 
 let handle_rreq t ~from rreq =
   let me = t.ctx.Routing_intf.id in
   if rreq.rq_src = me then ()
-  else if not (Seen_cache.witness t.seen ~origin:rreq.rq_src ~id:rreq.rq_id)
+  else if not (On_demand.witness t.core ~origin:rreq.rq_src ~id:rreq.rq_id)
   then ()
   else begin
     (* reverse route to the originator *)
@@ -257,25 +230,12 @@ let handle_rreq t ~from rreq =
                 rq_dst_seqno = requested;
               }
             in
-            let delay =
-              Des.Rng.float t.ctx.Routing_intf.rng t.config.relay_jitter
-            in
-            ignore
-              (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine ~delay
-                 (fun () ->
-                   t.ctx.Routing_intf.mac_send
-                     (control_frame t ~dst:Frame.Broadcast
-                        ~size:t.config.rreq_size ~payload:(Rreq relayed))))
+            On_demand.rebroadcast t.ctx ~span:span_timer
+              ~jitter:t.config.relay_jitter ~kind:"rreq"
+              ~size:t.config.rreq_size (Rreq relayed)
           end
     end
   end
-
-let flush_pending t ~dst =
-  List.iter
-    (fun (data, size) ->
-      if not (forward_data t data ~size) then
-        t.ctx.Routing_intf.drop_data data ~reason:"no route after reply")
-    (Pending.take_all t.pending ~dst)
 
 let handle_rrep t ~from rrep =
   let me = t.ctx.Routing_intf.id in
@@ -284,12 +244,8 @@ let handle_rrep t ~from rrep =
       ~hops:(rrep.rp_hops + 1) ~next_hop:from
   in
   if rrep.rp_src = me then begin
-    if accepted || valid_route t rrep.rp_dst <> None then begin
-      (match t.discovery with
-      | Some d -> Discovery.succeed d ~dst:rrep.rp_dst
-      | None -> ());
-      flush_pending t ~dst:rrep.rp_dst
-    end
+    if accepted || valid_route t rrep.rp_dst <> None then
+      On_demand.resolve t.core ~dst:rrep.rp_dst
   end
   else begin
     (* forward along the reverse route toward the originator *)
@@ -320,10 +276,8 @@ let handle_rerr t ~from rerr =
   send_rerr t ~entries:!propagate ~to_:Frame.Broadcast
 
 let handle_data t ~from data ~size =
-  let me = t.ctx.Routing_intf.id in
-  if data.Frame.final_dst = me then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size:(size - t.config.ip_overhead) then ()
-  else begin
+  if not (On_demand.relay t.core data ~size:(size - t.config.ip_overhead))
+  then begin
     let seqno =
       match Hashtbl.find_opt t.routes data.Frame.final_dst with
       | Some r -> r.seqno + 1
@@ -333,17 +287,6 @@ let handle_data t ~from data ~size =
       ~entries:[ (data.Frame.final_dst, seqno) ]
       ~to_:(Frame.Unicast from);
     t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
-  end
-
-let originate t data ~size =
-  let dst = data.Frame.final_dst in
-  if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size then ()
-  else begin
-    Pending.push t.pending ~dst data ~size;
-    match t.discovery with
-    | Some d -> Discovery.start d ~dst
-    | None -> ()
   end
 
 (* Link break: invalidate every route through the dead neighbour, report
@@ -362,14 +305,10 @@ let unicast_failed t ~frame ~dst:next_hop =
     t.routes;
   (match frame.Frame.payload with
   | Frame.Data data ->
-      let size = frame.Frame.size - t.config.ip_overhead in
-      let dst = data.Frame.final_dst in
       (* local repair: buffer and re-discover from here *)
-      lost := List.filter (fun (d, _) -> d <> dst) !lost;
-      Pending.push t.pending ~dst data ~size;
-      (match t.discovery with
-      | Some d -> Discovery.start d ~dst
-      | None -> ())
+      lost := List.filter (fun (d, _) -> d <> data.Frame.final_dst) !lost;
+      On_demand.park t.core data
+        ~size:(frame.Frame.size - t.config.ip_overhead)
   | _ -> ());
   send_rerr t ~entries:!lost ~to_:Frame.Broadcast
 
@@ -388,56 +327,36 @@ let gauges t =
       (fun _ r acc -> if r.valid && r.expiry > time then acc + 1 else acc)
       t.routes 0
   in
-  {
-    Routing_intf.own_seqno = t.self_seqno;
-    max_denominator = 0;
-    seqno_resets = 0;
-    label_width_bits = 0;
-    label_resets = 0;
-    route_entries;
-    pending_packets = Pending.total t.pending;
-  }
+  { Routing_intf.no_gauges with own_seqno = t.self_seqno; route_entries }
 
 let create_full ?(config = default_config) ctx =
-  let t =
+  On_demand.create ctx ~seen_ttl:30.0 ~pending_capacity:config.pending_capacity
+    ~pending_ttl:config.pending_ttl ~ttls:config.ttls
+    ~node_traversal:config.node_traversal
+    (fun core ->
+      {
+        ctx;
+        config;
+        routes = Hashtbl.create 32;
+        core;
+        self_seqno = 0;
+        next_rreq_id = 0;
+        on_change = ignore;
+      })
     {
-      ctx;
-      config;
-      routes = Hashtbl.create 32;
-      seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
-      pending =
-        Pending.create ~ttl:config.pending_ttl ~engine:ctx.Routing_intf.engine
-          ~capacity:config.pending_capacity
-          ~drop:(fun data ~size:_ ~reason ->
-            ctx.Routing_intf.drop_data data ~reason)
-          ();
-      discovery = None;
-      self_seqno = 0;
-      next_rreq_id = 0;
-      on_change = ignore;
+      On_demand.forward = forward_data;
+      request = (fun t ~dst ~ttl ~attempt:_ -> originate_rreq t ~dst ~ttl);
+      give_up =
+        (fun t ~dst ->
+          (* repair failed: notify precursors *)
+          match Hashtbl.find_opt t.routes dst with
+          | Some r when Hashtbl.length r.precursors > 0 ->
+              send_rerr t ~entries:[ (dst, r.seqno) ] ~to_:Frame.Broadcast
+          | Some _ | None -> ());
+      receive;
+      unicast_failed;
+      gauges;
     }
-  in
-  let discovery =
-    Discovery.create ctx.Routing_intf.engine ~ttls:config.ttls
-      ~node_traversal:config.node_traversal
-      ~send:(fun ~dst ~ttl ~attempt:_ -> originate_rreq t ~dst ~ttl)
-      ~give_up:(fun ~dst ->
-        (* repair failed: notify precursors and flush the buffer *)
-        (match Hashtbl.find_opt t.routes dst with
-        | Some r when Hashtbl.length r.precursors > 0 ->
-            send_rerr t ~entries:[ (dst, r.seqno) ] ~to_:Frame.Broadcast
-        | Some _ | None -> ());
-        Pending.drop_all t.pending ~dst ~reason:"route discovery failed")
-  in
-  t.discovery <- Some discovery;
-  ( t,
-    {
-      Routing_intf.originate = originate t;
-      receive = receive t;
-      unicast_failed = unicast_failed t;
-      unicast_ok = (fun ~frame:_ ~dst:_ -> ());
-      gauges = (fun () -> gauges t);
-    } )
 
 let create ?config ctx = snd (create_full ?config ctx)
 

@@ -5,7 +5,6 @@ type state = { mutable timer : Des.Engine.handle option }
 type t = {
   engine : Des.Engine.t;
   ttls : int array;
-  extra_retries : int;
   node_traversal : float;
   rate_limit : float;
   holdoff_base : float;
@@ -18,16 +17,16 @@ type t = {
   (* token bucket for the per-node request rate limit *)
   mutable tokens : float;
   mutable last_refill : float;
-  mutable sent : int;
 }
 
-let create ?(extra_retries = 1) engine ~ttls ~node_traversal ~send ~give_up =
+(* RFC 3561's RREQ_RETRIES: network-wide attempts after the ring *)
+let extra_retries = 1
+
+let create engine ~ttls ~node_traversal ~send ~give_up =
   if ttls = [] then invalid_arg "Discovery.create: empty ttl schedule";
-  if extra_retries < 0 then invalid_arg "Discovery.create: negative retries";
   {
     engine;
     ttls = Array.of_list ttls;
-    extra_retries;
     node_traversal;
     (* RFC 3561's RREQ_RATELIMIT *)
     rate_limit = 10.0;
@@ -39,7 +38,6 @@ let create ?(extra_retries = 1) engine ~ttls ~node_traversal ~send ~give_up =
     holdoffs = Hashtbl.create 16;
     tokens = 5.0;
     last_refill = Des.Engine.now engine;
-    sent = 0;
   }
 
 let active t ~dst = Hashtbl.mem t.states dst
@@ -83,20 +81,17 @@ let rec attempt t ~dst ~index =
         Hashtbl.replace t.states dst s;
         s
   in
-  if take_token t then begin
-    t.sent <- t.sent + 1;
-    t.send ~dst ~ttl ~attempt:index
-  end;
+  if take_token t then t.send ~dst ~ttl ~attempt:index;
   (* RFC 3561: each retry waits twice as long as the previous one *)
   let timeout =
     2.0 *. float_of_int ttl *. t.node_traversal
     *. (2.0 ** float_of_int index)
   in
   (* retry cap: the TTL schedule, then [extra_retries] more network-wide
-     attempts (RFC 3561's RREQ_RETRIES), each still doubling the wait *)
+     attempts, each still doubling the wait *)
   let handle =
     Des.Engine.schedule ~span:span_timer t.engine ~delay:timeout (fun () ->
-        if index + 1 >= Array.length t.ttls + t.extra_retries then begin
+        if index + 1 >= Array.length t.ttls + extra_retries then begin
           Hashtbl.remove t.states dst;
           note_failure t dst;
           t.give_up ~dst
@@ -118,5 +113,3 @@ let succeed t ~dst =
       | Some handle -> Des.Engine.cancel handle
       | None -> ());
       Hashtbl.remove t.states dst
-
-let requests_sent t = t.sent

@@ -1,19 +1,19 @@
-(** Expanding-ring route-discovery driver shared by the on-demand agents
-    (SRP, AODV, LDR): tracks the active/passive state per destination,
-    schedules retry timeouts of [2 * ttl * node_traversal_time] (Procedure 1
-    of the paper, mirroring AODV), walks the TTL schedule with binary
-    exponential backoff between attempts, and reports failure after the
-    last attempt. Failed destinations enter an exponentially growing
-    hold-off so a partitioned destination cannot trigger request storms. *)
+(** Expanding-ring route-discovery driver of the on-demand agents (SRP,
+    AODV, LDR, DSR; owned by {!On_demand}): tracks the active/passive state
+    per destination, schedules retry timeouts of
+    [2 * ttl * node_traversal_time] (Procedure 1 of the paper, mirroring
+    AODV), walks the TTL schedule with binary exponential backoff between
+    attempts, and reports failure after the last attempt. Failed
+    destinations enter an exponentially growing hold-off so a partitioned
+    destination cannot trigger request storms. *)
 
 type t
 
-(** [extra_retries] (default 1) is the number of additional attempts at the
-    largest TTL after the expanding-ring schedule is exhausted (RFC 3561's
-    RREQ_RETRIES); the inter-attempt timeout keeps doubling through them.
-    @raise Invalid_argument on an empty TTL schedule or negative retries. *)
+(** After the expanding-ring schedule is exhausted, one more attempt is
+    made at the largest TTL (RFC 3561's RREQ_RETRIES); the inter-attempt
+    timeout keeps doubling through it.
+    @raise Invalid_argument on an empty TTL schedule. *)
 val create :
-  ?extra_retries:int ->
   Des.Engine.t ->
   ttls:int list ->
   node_traversal:float ->
@@ -30,6 +30,3 @@ val active : t -> dst:int -> bool
 
 (** [succeed t ~dst] stops the discovery (a route was found). *)
 val succeed : t -> dst:int -> unit
-
-(** Number of requests issued so far (diagnostic). *)
-val requests_sent : t -> int

@@ -67,9 +67,7 @@ type t = {
   ctx : Routing_intf.ctx;
   config : config;
   mutable cache : cached list;
-  seen : Seen_cache.t;
-  pending : Pending.t;
-  mutable discovery : Discovery.t option;
+  core : On_demand.t;
   mutable next_rreq_id : int;
 }
 
@@ -169,22 +167,14 @@ let cache_size t =
 let control_size t ~hops =
   t.config.base_control_size + (t.config.per_hop_bytes * hops)
 
-let send_control t ~dst ~size ~payload =
-  let kind =
-    match payload with
-    | Rreq _ -> "rreq"
-    | Rrep _ -> "rrep"
-    | Rerr _ -> "rerr"
-    | _ -> "ctl"
-  in
-  t.ctx.Routing_intf.mac_send
-    (Frame.with_kind
-       (Frame.make ~src:t.ctx.Routing_intf.id ~dst ~size ~payload)
-       kind)
-
 let data_size t ~payload_size ~route_len =
   payload_size + t.config.ip_overhead + 4
   + (t.config.per_hop_bytes * route_len)
+
+(* the application payload inside a source-routed data frame *)
+let payload_size t frame dsr =
+  frame.Frame.size
+  - data_size t ~payload_size:0 ~route_len:(List.length dsr.dd_route)
 
 let send_data t ~next_hop dsr ~payload_size =
   let frame =
@@ -230,22 +220,22 @@ let originate_rreq t ~dst ~ttl =
       rq_ttl = ttl;
     }
   in
-  send_control t ~dst:Frame.Broadcast ~size:(control_size t ~hops:1)
-    ~payload:(Rreq rreq)
+  On_demand.send_control t.ctx ~kind:"rreq" ~dst:Frame.Broadcast
+    ~size:(control_size t ~hops:1) (Rreq rreq)
 
 let send_rrep t ~path =
   (* the replier sits at the end of its reverse route *)
   match List.rev path with
   | _me :: (next :: _ as back) ->
-      send_control t ~dst:(Frame.Unicast next)
+      On_demand.send_control t.ctx ~kind:"rrep" ~dst:(Frame.Unicast next)
         ~size:(control_size t ~hops:(List.length path))
-        ~payload:(Rrep { rp_path = path; rp_back = back })
+        (Rrep { rp_path = path; rp_back = back })
   | _ -> ()
 
 let handle_rreq t ~from:_ rreq =
   let me = t.ctx.Routing_intf.id in
   if rreq.rq_src = me || List.mem me rreq.rq_record then ()
-  else if not (Seen_cache.witness t.seen ~origin:rreq.rq_src ~id:rreq.rq_id)
+  else if not (On_demand.witness t.core ~origin:rreq.rq_src ~id:rreq.rq_id)
   then ()
   else begin
     let record = rreq.rq_record @ [ me ] in
@@ -262,25 +252,13 @@ let handle_rreq t ~from:_ rreq =
             let relayed =
               { rreq with rq_record = record; rq_ttl = rreq.rq_ttl - 1 }
             in
-            let delay =
-              Des.Rng.float t.ctx.Routing_intf.rng t.config.relay_jitter
-            in
-            ignore
-              (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine ~delay
-                 (fun () ->
-                   send_control t ~dst:Frame.Broadcast
-                     ~size:(control_size t ~hops:(List.length record))
-                     ~payload:(Rreq relayed)))
+            On_demand.rebroadcast t.ctx ~span:span_timer
+              ~jitter:t.config.relay_jitter ~kind:"rreq"
+              ~size:(control_size t ~hops:(List.length record))
+              (Rreq relayed)
           end
     end
   end
-
-let flush_pending t ~dst =
-  List.iter
-    (fun (data, size) ->
-      if not (try_send t data ~size) then
-        t.ctx.Routing_intf.drop_data data ~reason:"no route after reply")
-    (Pending.take_all t.pending ~dst)
 
 (* Cache every suffix of the replied path that starts at this node. *)
 let cache_from_path t path =
@@ -303,24 +281,20 @@ let handle_rrep t ~from:_ rrep =
           match rrep.rp_path with
           | src :: _ when src = me -> (
               match List.rev rrep.rp_path with
-              | dst :: _ ->
-                  (match t.discovery with
-                  | Some d -> Discovery.succeed d ~dst
-                  | None -> ());
-                  flush_pending t ~dst
+              | dst :: _ -> On_demand.resolve t.core ~dst
               | [] -> ())
           | _ -> ())
       | next :: _ ->
-          send_control t ~dst:(Frame.Unicast next)
+          On_demand.send_control t.ctx ~kind:"rrep" ~dst:(Frame.Unicast next)
             ~size:(control_size t ~hops:(List.length rrep.rp_path))
-            ~payload:(Rrep { rrep with rp_back = rest })
+            (Rrep { rrep with rp_back = rest })
     end
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Data plane and errors                                               *)
 
-let handle_dsr_data t ~from:_ dsr =
+let handle_dsr_data t dsr ~payload_size =
   let me = t.ctx.Routing_intf.id in
   let data = dsr.dd_data in
   if data.Frame.final_dst = me then t.ctx.Routing_intf.deliver data
@@ -333,7 +307,7 @@ let handle_dsr_data t ~from:_ dsr =
         else
           send_data t ~next_hop
             { dsr with dd_idx = dsr.dd_idx + 1 }
-            ~payload_size:512
+            ~payload_size
     | None -> t.ctx.Routing_intf.drop_data data ~reason:"route exhausted"
   end
 
@@ -341,9 +315,9 @@ let send_rerr t ~broken ~traversed =
   (* source-route the error back along the already-traversed prefix *)
   match List.rev traversed with
   | _me :: (next :: _ as back) ->
-      send_control t ~dst:(Frame.Unicast next)
+      On_demand.send_control t.ctx ~kind:"rerr" ~dst:(Frame.Unicast next)
         ~size:(control_size t ~hops:(List.length back))
-        ~payload:(Rerr { re_broken = broken; re_back = back })
+        (Rerr { re_broken = broken; re_back = back })
   | _ -> ()
 
 let handle_rerr t ~from:_ rerr =
@@ -351,21 +325,10 @@ let handle_rerr t ~from:_ rerr =
   cache_remove_link t rerr.re_broken;
   match rerr.re_back with
   | x :: (next :: _ as rest) when x = me ->
-      send_control t ~dst:(Frame.Unicast next)
+      On_demand.send_control t.ctx ~kind:"rerr" ~dst:(Frame.Unicast next)
         ~size:(control_size t ~hops:(List.length rest))
-        ~payload:(Rerr { rerr with re_back = rest })
+        (Rerr { rerr with re_back = rest })
   | _ -> ()
-
-let originate t data ~size =
-  let dst = data.Frame.final_dst in
-  if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
-  else if try_send t data ~size then ()
-  else begin
-    Pending.push t.pending ~dst data ~size;
-    match t.discovery with
-    | Some d -> Discovery.start d ~dst
-    | None -> ()
-  end
 
 let unicast_failed t ~frame ~dst:next_hop =
   let me = t.ctx.Routing_intf.id in
@@ -373,23 +336,19 @@ let unicast_failed t ~frame ~dst:next_hop =
   match frame.Frame.payload with
   | Dsr_data dsr ->
       let data = dsr.dd_data in
+      let size = payload_size t frame dsr in
       (* salvaging: retry from our own cache a bounded number of times *)
       if dsr.dd_salvaged < t.config.max_salvages then begin
         match cached_path_via t ~dst:data.Frame.final_dst with
         | Some route ->
-            route_data t data ~size:512 ~route ~salvaged:(dsr.dd_salvaged + 1)
+            route_data t data ~size ~route ~salvaged:(dsr.dd_salvaged + 1)
         | None ->
             let traversed =
               (* prefix of the route up to and including us *)
               List.filteri (fun i _ -> i <= dsr.dd_idx) dsr.dd_route
             in
             send_rerr t ~broken:(me, next_hop) ~traversed;
-            if data.Frame.origin = me then begin
-              Pending.push t.pending ~dst:data.Frame.final_dst data ~size:512;
-              match t.discovery with
-              | Some d -> Discovery.start d ~dst:data.Frame.final_dst
-              | None -> ()
-            end
+            if data.Frame.origin = me then On_demand.park t.core data ~size
             else t.ctx.Routing_intf.drop_data data ~reason:"salvage failed"
       end
       else begin
@@ -402,17 +361,14 @@ let unicast_failed t ~frame ~dst:next_hop =
   | _ -> ()
 
 let gauges t =
-  {
-    Routing_intf.no_gauges with
-    Routing_intf.route_entries = cache_size t;
-    pending_packets = Pending.total t.pending;
-  }
+  { Routing_intf.no_gauges with route_entries = cache_size t }
 
 let receive t ~src frame =
   match frame.Frame.payload with
   | Rreq rreq -> handle_rreq t ~from:src rreq
   | Rrep rrep -> handle_rrep t ~from:src rrep
-  | Dsr_data dsr -> handle_dsr_data t ~from:src dsr
+  | Dsr_data dsr ->
+      handle_dsr_data t dsr ~payload_size:(payload_size t frame dsr)
   | Rerr rerr -> handle_rerr t ~from:src rerr
   | Frame.Data data ->
       (* plain data only reaches us if we originated to ourselves *)
@@ -421,38 +377,18 @@ let receive t ~src frame =
   | _ -> ()
 
 let create_full ?(config = default_config) ctx =
-  let t =
+  On_demand.create ctx ~seen_ttl:30.0 ~pending_capacity:config.pending_capacity
+    ~pending_ttl:config.pending_ttl
+    ~ttls:(List.init config.discovery_attempts (fun _ -> config.discovery_ttl))
+    ~node_traversal:config.node_traversal
+    (fun core -> { ctx; config; cache = []; core; next_rreq_id = 0 })
     {
-      ctx;
-      config;
-      cache = [];
-      seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
-      pending =
-        Pending.create ~ttl:config.pending_ttl ~engine:ctx.Routing_intf.engine
-          ~capacity:config.pending_capacity
-          ~drop:(fun data ~size:_ ~reason ->
-            ctx.Routing_intf.drop_data data ~reason)
-          ();
-      discovery = None;
-      next_rreq_id = 0;
+      On_demand.forward = try_send;
+      request = (fun t ~dst ~ttl ~attempt:_ -> originate_rreq t ~dst ~ttl);
+      give_up = (fun _ ~dst:_ -> ());
+      receive;
+      unicast_failed;
+      gauges;
     }
-  in
-  let ttls = List.init config.discovery_attempts (fun _ -> config.discovery_ttl) in
-  let discovery =
-    Discovery.create ctx.Routing_intf.engine ~ttls
-      ~node_traversal:config.node_traversal
-      ~send:(fun ~dst ~ttl ~attempt:_ -> originate_rreq t ~dst ~ttl)
-      ~give_up:(fun ~dst ->
-        Pending.drop_all t.pending ~dst ~reason:"route discovery failed")
-  in
-  t.discovery <- Some discovery;
-  ( t,
-    {
-      Routing_intf.originate = originate t;
-      receive = receive t;
-      unicast_failed = unicast_failed t;
-      unicast_ok = (fun ~frame:_ ~dst:_ -> ());
-      gauges = (fun () -> gauges t);
-    } )
 
 let create ?config ctx = snd (create_full ?config ctx)

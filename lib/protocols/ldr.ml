@@ -87,9 +87,7 @@ type t = {
   config : config;
   routes : (int, route) Hashtbl.t;
   engagements : (int * int, engagement) Hashtbl.t;
-  seen : Seen_cache.t;
-  pending : Pending.t;
-  mutable discovery : Discovery.t option;
+  core : On_demand.t;
   mutable self_seqno : int;
   mutable next_rreq_id : int;
   mutable resets : int;
@@ -124,42 +122,20 @@ let valid_route t dst =
 let refresh t r =
   r.expiry <- Stdlib.max r.expiry (now t +. t.config.route_lifetime)
 
-let control_frame t ~dst ~size ~payload =
-  let kind =
-    match payload with
-    | Rreq _ -> "rreq"
-    | Rrep _ -> "rrep"
-    | Rerr _ -> "rerr"
-    | _ -> "ctl"
-  in
-  Frame.with_kind (Frame.make ~src:t.ctx.Routing_intf.id ~dst ~size ~payload) kind
-
 let send_rerr t ~dsts ~to_ =
   if dsts <> [] then
-    t.ctx.Routing_intf.mac_send
-      (control_frame t ~dst:to_ ~size:t.config.rerr_size
-         ~payload:(Rerr { re_unreachable = dsts }))
+    On_demand.send_control t.ctx ~kind:"rerr" ~dst:to_ ~size:t.config.rerr_size
+      (Rerr { re_unreachable = dsts })
 
 let forward_data t data ~size =
   match valid_route t data.Frame.final_dst with
   | None -> false
   | Some r ->
-      data.Frame.hops <- data.Frame.hops + 1;
-      if data.Frame.hops > t.config.data_ttl then begin
-        t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded";
-        true
-      end
-      else begin
-        refresh t r;
-        Trace.pkt_forward t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
-          ~flow:data.Frame.flow ~seq:data.Frame.seq ~next:r.next_hop;
-        t.ctx.Routing_intf.mac_send
-          (Frame.make ~src:t.ctx.Routing_intf.id
-             ~dst:(Frame.Unicast r.next_hop)
-             ~size:(size + t.config.ip_overhead)
-             ~payload:(Frame.Data data));
-        true
-      end
+      if
+        On_demand.hop t.ctx ~data_ttl:t.config.data_ttl
+          ~ip_overhead:t.config.ip_overhead ~next_hop:r.next_hop data ~size
+      then refresh t r;
+      true
 
 let originate_rreq t ~dst ~ttl ~reset =
   t.next_rreq_id <- t.next_rreq_id + 1;
@@ -175,14 +151,12 @@ let originate_rreq t ~dst ~ttl ~reset =
       rq_ttl = ttl;
     }
   in
-  t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:Frame.Broadcast ~size:t.config.rreq_size
-       ~payload:(Rreq rreq))
+  On_demand.send_control t.ctx ~kind:"rreq" ~dst:Frame.Broadcast
+    ~size:t.config.rreq_size (Rreq rreq)
 
 let send_rrep t ~to_ rrep =
-  t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.config.rrep_size
-       ~payload:(Rrep rrep))
+  On_demand.send_control t.ctx ~kind:"rrep" ~dst:(Frame.Unicast to_)
+    ~size:t.config.rrep_size (Rrep rrep)
 
 (* Adopt an advertised route if the label is feasible; the own feasible
    distance resets to the measured distance on a fresher sequence number
@@ -208,7 +182,7 @@ let set_route t ~dst ~via ~adv ~dist ~lifetime =
 let handle_rreq t ~from rreq =
   let me = t.ctx.Routing_intf.id in
   if rreq.rq_src = me then ()
-  else if not (Seen_cache.witness t.seen ~origin:rreq.rq_src ~id:rreq.rq_id)
+  else if not (On_demand.witness t.core ~origin:rreq.rq_src ~id:rreq.rq_id)
   then ()
   else begin
     Hashtbl.replace t.engagements
@@ -279,25 +253,12 @@ let handle_rreq t ~from rreq =
             rq_ttl = rreq.rq_ttl - 1;
           }
         in
-        let delay =
-          Des.Rng.float t.ctx.Routing_intf.rng t.config.relay_jitter
-        in
-        ignore
-          (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine ~delay
-             (fun () ->
-               t.ctx.Routing_intf.mac_send
-                 (control_frame t ~dst:Frame.Broadcast
-                    ~size:t.config.rreq_size ~payload:(Rreq relayed))))
+        On_demand.rebroadcast t.ctx ~span:span_timer
+          ~jitter:t.config.relay_jitter ~kind:"rreq" ~size:t.config.rreq_size
+          (Rreq relayed)
       end
     end
   end
-
-let flush_pending t ~dst =
-  List.iter
-    (fun (data, size) ->
-      if not (forward_data t data ~size) then
-        t.ctx.Routing_intf.drop_data data ~reason:"no route after reply")
-    (Pending.take_all t.pending ~dst)
 
 let handle_rrep t ~from rrep =
   let me = t.ctx.Routing_intf.id in
@@ -305,12 +266,7 @@ let handle_rrep t ~from rrep =
     if
       set_route t ~dst:rrep.rp_dst ~via:from ~adv:rrep.rp_label
         ~dist:rrep.rp_dist ~lifetime:rrep.rp_lifetime
-    then begin
-      (match t.discovery with
-      | Some d -> Discovery.succeed d ~dst:rrep.rp_dst
-      | None -> ());
-      flush_pending t ~dst:rrep.rp_dst
-    end
+    then On_demand.resolve t.core ~dst:rrep.rp_dst
   end
   else begin
     match Hashtbl.find_opt t.engagements (rrep.rp_src, rrep.rp_id) with
@@ -327,7 +283,7 @@ let handle_rrep t ~from rrep =
           let mine = Option.get r.label in
           send_rrep t ~to_:e.e_last_hop
             { rrep with rp_label = mine; rp_dist = r.dist };
-          flush_pending t ~dst:rrep.rp_dst
+          On_demand.flush t.core ~dst:rrep.rp_dst
         end
         else begin
           (* infeasible here: if we still hold a valid route, advertise it;
@@ -359,23 +315,10 @@ let handle_rerr t ~from rerr =
   send_rerr t ~dsts:!propagate ~to_:Frame.Broadcast
 
 let handle_data t ~from data ~size =
-  let me = t.ctx.Routing_intf.id in
-  if data.Frame.final_dst = me then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size:(size - t.config.ip_overhead) then ()
-  else begin
+  if not (On_demand.relay t.core data ~size:(size - t.config.ip_overhead))
+  then begin
     send_rerr t ~dsts:[ data.Frame.final_dst ] ~to_:(Frame.Unicast from);
     t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
-  end
-
-let originate t data ~size =
-  let dst = data.Frame.final_dst in
-  if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size then ()
-  else begin
-    Pending.push t.pending ~dst data ~size;
-    match t.discovery with
-    | Some d -> Discovery.start d ~dst
-    | None -> ()
   end
 
 let unicast_failed t ~frame ~dst:next_hop =
@@ -389,13 +332,9 @@ let unicast_failed t ~frame ~dst:next_hop =
     t.routes;
   (match frame.Frame.payload with
   | Frame.Data data ->
-      let size = frame.Frame.size - t.config.ip_overhead in
-      let dst = data.Frame.final_dst in
-      lost := List.filter (fun d -> d <> dst) !lost;
-      Pending.push t.pending ~dst data ~size;
-      (match t.discovery with
-      | Some d -> Discovery.start d ~dst
-      | None -> ())
+      lost := List.filter (fun d -> d <> data.Frame.final_dst) !lost;
+      On_demand.park t.core data
+        ~size:(frame.Frame.size - t.config.ip_overhead)
   | _ -> ());
   send_rerr t ~dsts:!lost ~to_:Frame.Broadcast
 
@@ -415,55 +354,40 @@ let gauges t =
       t.routes 0
   in
   {
-    Routing_intf.own_seqno = t.self_seqno;
-    max_denominator = 0;
+    Routing_intf.no_gauges with
+    own_seqno = t.self_seqno;
     seqno_resets = t.resets;
-    label_width_bits = 0;
-    label_resets = 0;
     route_entries;
-    pending_packets = Pending.total t.pending;
   }
 
 let create_full ?(config = default_config) ctx =
-  let t =
+  On_demand.create ctx ~seen_ttl:30.0 ~pending_capacity:config.pending_capacity
+    ~pending_ttl:config.pending_ttl ~ttls:config.ttls
+    ~node_traversal:config.node_traversal
+    (fun core ->
+      {
+        ctx;
+        config;
+        routes = Hashtbl.create 32;
+        engagements = Hashtbl.create 64;
+        core;
+        self_seqno = 0;
+        next_rreq_id = 0;
+        resets = 0;
+      })
     {
-      ctx;
-      config;
-      routes = Hashtbl.create 32;
-      engagements = Hashtbl.create 64;
-      seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:30.0;
-      pending =
-        Pending.create ~ttl:config.pending_ttl ~engine:ctx.Routing_intf.engine
-          ~capacity:config.pending_capacity
-          ~drop:(fun data ~size:_ ~reason ->
-            ctx.Routing_intf.drop_data data ~reason)
-          ();
-      discovery = None;
-      self_seqno = 0;
-      next_rreq_id = 0;
-      resets = 0;
+      On_demand.forward = forward_data;
+      request =
+        (fun t ~dst ~ttl ~attempt ->
+          (* the final attempt demands a destination reset: the case where
+             feasible distances cannot be put in order *)
+          let reset = attempt >= List.length config.ttls - 1 in
+          originate_rreq t ~dst ~ttl ~reset);
+      give_up = (fun _ ~dst:_ -> ());
+      receive;
+      unicast_failed;
+      gauges;
     }
-  in
-  let discovery =
-    Discovery.create ctx.Routing_intf.engine ~ttls:config.ttls
-      ~node_traversal:config.node_traversal
-      ~send:(fun ~dst ~ttl ~attempt ->
-        (* the final attempt demands a destination reset: the case where
-           feasible distances cannot be put in order *)
-        let reset = attempt >= List.length config.ttls - 1 in
-        originate_rreq t ~dst ~ttl ~reset)
-      ~give_up:(fun ~dst ->
-        Pending.drop_all t.pending ~dst ~reason:"route discovery failed")
-  in
-  t.discovery <- Some discovery;
-  ( t,
-    {
-      Routing_intf.originate = originate t;
-      receive = receive t;
-      unicast_failed = unicast_failed t;
-      unicast_ok = (fun ~frame:_ ~dst:_ -> ());
-      gauges = (fun () -> gauges t);
-    } )
 
 let create ?config ctx = snd (create_full ?config ctx)
 

@@ -173,11 +173,8 @@ let send_hello t =
   let size =
     t.config.hello_base_size + (t.config.per_entry_bytes * List.length links)
   in
-  t.ctx.Routing_intf.mac_send
-    (Frame.with_kind
-       (Frame.make ~src:t.ctx.Routing_intf.id ~dst:Frame.Broadcast ~size
-          ~payload:(Hello { h_origin = t.ctx.Routing_intf.id; h_links = links }))
-       "hello")
+  On_demand.send_control t.ctx ~kind:"hello" ~dst:Frame.Broadcast ~size
+    (Hello { h_origin = t.ctx.Routing_intf.id; h_links = links })
 
 let selector_set t =
   let time = now t in
@@ -194,17 +191,13 @@ let send_tc t =
       t.config.tc_base_size
       + (t.config.per_entry_bytes * List.length advertised)
     in
-    t.ctx.Routing_intf.mac_send
-      (Frame.with_kind
-         (Frame.make ~src:t.ctx.Routing_intf.id ~dst:Frame.Broadcast ~size
-            ~payload:
-              (Tc
-                 {
-                   t_origin = t.ctx.Routing_intf.id;
-                   t_ansn = t.ansn;
-                   t_advertised = advertised;
-                 }))
-         "tc")
+    On_demand.send_control t.ctx ~kind:"tc" ~dst:Frame.Broadcast ~size
+      (Tc
+         {
+           t_origin = t.ctx.Routing_intf.id;
+           t_ansn = t.ansn;
+           t_advertised = advertised;
+         })
   end
 
 let neighbor_for t id =
@@ -266,14 +259,8 @@ let handle_tc t ~from tc =
         t.config.tc_base_size
         + (t.config.per_entry_bytes * List.length tc.t_advertised)
       in
-      let delay = Des.Rng.float t.ctx.Routing_intf.rng 0.01 in
-      ignore
-        (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine ~delay (fun () ->
-             t.ctx.Routing_intf.mac_send
-               (Frame.with_kind
-                  (Frame.make ~src:me ~dst:Frame.Broadcast ~size
-                     ~payload:(Tc tc))
-                  "tc")))
+      On_demand.rebroadcast t.ctx ~span:span_timer ~jitter:0.01 ~kind:"tc" ~size
+        (Tc tc)
     end
   end
 
@@ -283,21 +270,11 @@ let handle_tc t ~from tc =
 let forward_data t data ~size =
   match next_hop t ~dst:data.Frame.final_dst with
   | None -> false
-  | Some hop ->
-      data.Frame.hops <- data.Frame.hops + 1;
-      if data.Frame.hops > t.config.data_ttl then begin
-        t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded";
-        true
-      end
-      else begin
-        Trace.pkt_forward t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
-          ~flow:data.Frame.flow ~seq:data.Frame.seq ~next:hop;
-        t.ctx.Routing_intf.mac_send
-          (Frame.make ~src:t.ctx.Routing_intf.id ~dst:(Frame.Unicast hop)
-             ~size:(size + t.config.ip_overhead)
-             ~payload:(Frame.Data data));
-        true
-      end
+  | Some next_hop ->
+      ignore
+        (On_demand.hop t.ctx ~data_ttl:t.config.data_ttl
+           ~ip_overhead:t.config.ip_overhead ~next_hop data ~size);
+      true
 
 let handle_data t data ~size =
   if data.Frame.final_dst = t.ctx.Routing_intf.id then
@@ -362,19 +339,12 @@ let create_full ?(config = default_config) ctx =
          send_tc t;
          schedule_tc t));
   ( t,
-    {
-      Routing_intf.originate = originate t;
-      receive = receive t;
+    On_demand.agent ~originate:(originate t) ~receive:(receive t)
       (* no link-layer integration: links die only by HELLO timeout *)
-      unicast_failed = (fun ~frame:_ ~dst:_ -> ());
-      unicast_ok = (fun ~frame:_ ~dst:_ -> ());
-      gauges =
-        (fun () ->
-          (* last computed table; recomputing here would hide staleness *)
-          {
-            Routing_intf.no_gauges with
-            Routing_intf.route_entries = Hashtbl.length t.routes;
-          });
-    } )
+      ~unicast_failed:(fun ~frame:_ ~dst:_ -> ())
+      ~gauges:(fun () ->
+        (* last computed table; recomputing here would hide staleness *)
+        { Routing_intf.no_gauges with route_entries = Hashtbl.length t.routes })
+  )
 
 let create ?config ctx = snd (create_full ?config ctx)

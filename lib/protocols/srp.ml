@@ -124,9 +124,7 @@ type t = {
   infinite : Ordering.t;  (** this instance's unassigned sentinel *)
   routes : (int, route) Hashtbl.t;
   engagements : (int * int, engagement) Hashtbl.t;
-  seen : Seen_cache.t;
-  pending : Pending.t;
-  mutable discovery : Discovery.t option;  (** set during wiring *)
+  core : On_demand.t;
   (* RREPs awaiting a RACK, keyed by (rreq source, rreq id, next hop) *)
   racks : (int * int * int, Des.Engine.handle) Hashtbl.t;
   mutable self_seqno : int;
@@ -228,22 +226,10 @@ let lie_about t order =
   if label == order.Ordering.label then order
   else Ordering.v ~sn:order.Ordering.sn ~label
 
-let control_frame t ~dst ~size ~payload =
-  let kind =
-    match payload with
-    | Rreq _ -> "rreq"
-    | Rrep _ -> "rrep"
-    | Rerr _ -> "rerr"
-    | Rack _ -> "rack"
-    | _ -> "ctl"
-  in
-  Frame.with_kind (Frame.make ~src:t.ctx.Routing_intf.id ~dst ~size ~payload) kind
-
 let send_rerr t ~dsts ~to_ =
   if dsts <> [] then
-    t.ctx.Routing_intf.mac_send
-      (control_frame t ~dst:to_ ~size:t.config.rerr_size
-         ~payload:(Rerr { re_unreachable = dsts }))
+    On_demand.send_control t.ctx ~kind:"rerr" ~dst:to_ ~size:t.config.rerr_size
+      (Rerr { re_unreachable = dsts })
 
 (* Remove [neighbor] as successor everywhere (the link is gone); returns
    destinations that lost their last successor. *)
@@ -277,36 +263,25 @@ let report_lost_routes t lost =
 (* ------------------------------------------------------------------ *)
 (* Data plane                                                          *)
 
-let data_frame t ~next_hop data ~size =
-  Frame.make ~src:t.ctx.Routing_intf.id ~dst:(Frame.Unicast next_hop)
-    ~size:(size + t.config.ip_overhead)
-    ~payload:(Frame.Data data)
-
 let forward_data t data ~size =
   let dst = data.Frame.final_dst in
   match best_successor t dst with
   | None -> false
   | Some next_hop ->
-      data.Frame.hops <- data.Frame.hops + 1;
-      if data.Frame.hops > t.config.data_ttl then begin
-        t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded";
-        true
-      end
-      else begin
-        (match Hashtbl.find_opt t.routes dst with
-        | Some r ->
-            retain_label t r;
-            (match Hashtbl.find_opt r.succs next_hop with
-            | Some s ->
-                s.s_expiry <-
-                  Stdlib.max s.s_expiry (now t +. t.config.route_lifetime)
-            | None -> ())
-        | None -> ());
-        Trace.pkt_forward t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
-          ~flow:data.Frame.flow ~seq:data.Frame.seq ~next:next_hop;
-        t.ctx.Routing_intf.mac_send (data_frame t ~next_hop data ~size);
-        true
-      end
+      (if
+         On_demand.hop t.ctx ~data_ttl:t.config.data_ttl
+           ~ip_overhead:t.config.ip_overhead ~next_hop data ~size
+       then
+         match Hashtbl.find_opt t.routes dst with
+         | Some r -> (
+             retain_label t r;
+             match Hashtbl.find_opt r.succs next_hop with
+             | Some s ->
+                 s.s_expiry <-
+                   Stdlib.max s.s_expiry (now t +. t.config.route_lifetime)
+             | None -> ())
+         | None -> ());
+      true
 
 (* ------------------------------------------------------------------ *)
 (* Solicitations                                                       *)
@@ -325,19 +300,6 @@ let rreq_advertisement t ~src =
   else if has_active_route t ~dst:src then
     Some { ra_order = own_ordering t src; ra_dist = route_dist t src }
   else None
-
-let broadcast_rreq t rreq ~jitter =
-  let frame =
-    control_frame t ~dst:Frame.Broadcast ~size:t.config.rreq_size
-      ~payload:(Rreq rreq)
-  in
-  if jitter <= 0.0 then t.ctx.Routing_intf.mac_send frame
-  else
-    let delay = Des.Rng.float t.ctx.Routing_intf.rng jitter in
-    ignore
-      (Des.Engine.schedule ~span:span_timer t.ctx.Routing_intf.engine
-         ~delay (fun () ->
-           t.ctx.Routing_intf.mac_send frame))
 
 let originate_rreq t ~dst ~ttl ~rr =
   let own = own_ordering t dst in
@@ -358,7 +320,8 @@ let originate_rreq t ~dst ~ttl ~rr =
       rq_adv = rreq_advertisement t ~src:t.ctx.Routing_intf.id;
     }
   in
-  broadcast_rreq t rreq ~jitter:0.0
+  On_demand.send_control t.ctx ~kind:"rreq" ~dst:Frame.Broadcast
+    ~size:t.config.rreq_size (Rreq rreq)
 
 (* D-bit probe: unicast along the forward path, forcing the destination
    itself to reply with a reset (paper §III, MAX_DENOM and N-bit cases). *)
@@ -381,9 +344,8 @@ let send_probe t ~dst =
           rq_adv = rreq_advertisement t ~src:t.ctx.Routing_intf.id;
         }
       in
-      t.ctx.Routing_intf.mac_send
-        (control_frame t ~dst:(Frame.Unicast next_hop)
-           ~size:t.config.rreq_size ~payload:(Rreq rreq))
+      On_demand.send_control t.ctx ~kind:"rreq" ~dst:(Frame.Unicast next_hop)
+        ~size:t.config.rreq_size (Rreq rreq)
 
 (* ------------------------------------------------------------------ *)
 (* Procedure 3 (Set Route): adopt an advertisement if NEWORDER is finite *)
@@ -470,9 +432,8 @@ let sweep_engagements t =
    RREP therefore awaits a RACK from the next hop and is retransmitted with
    binary exponential backoff, at most [rack_retries] times. *)
 let rec send_rrep_reliable t ~to_ ?(attempt = 0) rrep =
-  t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.config.rrep_size
-       ~payload:(Rrep rrep));
+  On_demand.send_control t.ctx ~kind:"rrep" ~dst:(Frame.Unicast to_)
+    ~size:t.config.rrep_size (Rrep rrep);
   let key = (rrep.rp_src, rrep.rp_id, to_) in
   if attempt < t.config.rack_retries then begin
     let delay = t.config.rack_timeout *. (2.0 ** float_of_int attempt) in
@@ -489,9 +450,9 @@ let rec send_rrep_reliable t ~to_ ?(attempt = 0) rrep =
   else Hashtbl.remove t.racks key
 
 let send_rack t ~to_ rrep =
-  t.ctx.Routing_intf.mac_send
-    (control_frame t ~dst:(Frame.Unicast to_) ~size:t.config.rack_size
-       ~payload:(Rack { k_src = rrep.rp_src; k_id = rrep.rp_id }))
+  On_demand.send_control t.ctx ~kind:"rack" ~dst:(Frame.Unicast to_)
+    ~size:t.config.rack_size
+    (Rack { k_src = rrep.rp_src; k_id = rrep.rp_id })
 
 let handle_rack t ~from rack =
   let key = (rack.k_src, rack.k_id, from) in
@@ -583,7 +544,7 @@ let relay_rr t rreq =
 let handle_rreq t ~from rreq =
   let me = t.ctx.Routing_intf.id in
   if rreq.rq_src = me then ()
-  else if not (Seen_cache.witness t.seen ~origin:rreq.rq_src ~id:rreq.rq_id)
+  else if not (On_demand.witness t.core ~origin:rreq.rq_src ~id:rreq.rq_id)
   then ()
   else begin
     (* become engaged: cache the solicitation ordering and reverse hop *)
@@ -618,9 +579,9 @@ let handle_rreq t ~from rreq =
               rq_adv = None;
             }
           in
-          t.ctx.Routing_intf.mac_send
-            (control_frame t ~dst:(Frame.Unicast next_hop)
-               ~size:t.config.rreq_size ~payload:(Rreq relayed))
+          On_demand.send_control t.ctx ~kind:"rreq"
+            ~dst:(Frame.Unicast next_hop) ~size:t.config.rreq_size
+            (Rreq relayed)
       | Some _ | None -> ()
     end
     else if rreq.rq_hops >= t.config.min_reply_hops && sdc t rreq then
@@ -641,19 +602,13 @@ let handle_rreq t ~from rreq =
           rq_adv = adv;
         }
       in
-      broadcast_rreq t relayed ~jitter:t.config.relay_jitter
+      On_demand.rebroadcast t.ctx ~span:span_timer ~jitter:t.config.relay_jitter
+        ~kind:"rreq" ~size:t.config.rreq_size (Rreq relayed)
     end
   end
 
 (* ------------------------------------------------------------------ *)
 (* RREP handling (Procedures 3-4)                                      *)
-
-let flush_pending t ~dst =
-  List.iter
-    (fun (data, size) ->
-      if not (forward_data t data ~size) then
-        t.ctx.Routing_intf.drop_data data ~reason:"no route after reply")
-    (Pending.take_all t.pending ~dst)
 
 let handle_rrep t ~from rrep =
   let me = t.ctx.Routing_intf.id in
@@ -680,10 +635,7 @@ let handle_rrep t ~from rrep =
     match adopted with
     | Adopted ->
         if terminus then begin
-          (match t.discovery with
-          | Some d -> Discovery.succeed d ~dst:rrep.rp_dst
-          | None -> ());
-          flush_pending t ~dst:rrep.rp_dst;
+          On_demand.resolve t.core ~dst:rrep.rp_dst;
           let own = own_ordering t rrep.rp_dst in
           let needs_reset =
             let (module L : Label.S) = t.labels in
@@ -718,7 +670,7 @@ let handle_rrep t ~from rrep =
                 }
               in
               send_rrep_reliable t ~to_:e.e_last_hop relayed;
-              flush_pending t ~dst:rrep.rp_dst
+              On_demand.flush t.core ~dst:rrep.rp_dst
         end
     | Rejected ->
         (* infeasible or label exhausted: re-advertise our own route if we
@@ -770,24 +722,11 @@ let handle_rerr t ~from rerr =
 (* Agent wiring                                                        *)
 
 let handle_data t ~from data ~size =
-  let me = t.ctx.Routing_intf.id in
-  if data.Frame.final_dst = me then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size:(size - t.config.ip_overhead) then ()
-  else begin
+  if not (On_demand.relay t.core data ~size:(size - t.config.ip_overhead))
+  then begin
     (* no successor: route error back to the previous hop, drop the data *)
     send_rerr t ~dsts:[ data.Frame.final_dst ] ~to_:(Frame.Unicast from);
     t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
-  end
-
-let originate t data ~size =
-  let dst = data.Frame.final_dst in
-  if dst = t.ctx.Routing_intf.id then t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size then ()
-  else begin
-    Pending.push t.pending ~dst data ~size;
-    match t.discovery with
-    | Some d -> Discovery.start d ~dst
-    | None -> ()
   end
 
 let unicast_failed t ~frame ~dst:next_hop =
@@ -796,14 +735,8 @@ let unicast_failed t ~frame ~dst:next_hop =
   match frame.Frame.payload with
   | Frame.Data data ->
       let size = frame.Frame.size - t.config.ip_overhead in
-      if forward_data t data ~size then ()
-      else begin
-        (* packet cache: hold the packet and look for a new path *)
-        Pending.push t.pending ~dst:data.Frame.final_dst data ~size;
-        match t.discovery with
-        | Some d -> Discovery.start d ~dst:data.Frame.final_dst
-        | None -> ()
-      end
+      (* packet cache: hold the packet and look for a new path *)
+      if not (forward_data t data ~size) then On_demand.park t.core data ~size
   | _ -> ()
 
 let gauges t =
@@ -822,13 +755,13 @@ let gauges t =
       t.routes 0
   in
   {
-    Routing_intf.own_seqno = t.self_seqno - 1;
+    Routing_intf.no_gauges with
+    own_seqno = t.self_seqno - 1;
     max_denominator = t.max_denom_seen;
     seqno_resets = t.resets;
     label_width_bits = t.label_width_max;
     label_resets = t.label_resets;
     route_entries;
-    pending_packets = Pending.total t.pending;
   }
 
 let receive t ~src frame =
@@ -845,58 +778,47 @@ let receive t ~src frame =
 
 let create_full ?(config = default_config) ctx =
   let labels = Label_set.instance config.labels in
-  let t =
+  On_demand.create ctx ~seen_ttl:config.delete_period
+    ~pending_capacity:config.pending_capacity ~pending_ttl:config.pending_ttl
+    ~ttls:config.ttls ~node_traversal:config.node_traversal
+    (fun core ->
+      {
+        ctx;
+        config;
+        labels;
+        infinite = Ordering.unassigned_of labels;
+        routes = Hashtbl.create 32;
+        engagements = Hashtbl.create 64;
+        core;
+        racks = Hashtbl.create 16;
+        self_seqno = 1;
+        next_rreq_id = 0;
+        max_denom_seen = 1;
+        label_width_max = 0;
+        label_resets = 0;
+        resets = 0;
+        rack_retx = 0;
+        listener = ignore;
+      })
     {
-      ctx;
-      config;
-      labels;
-      infinite = Ordering.unassigned_of labels;
-      routes = Hashtbl.create 32;
-      engagements = Hashtbl.create 64;
-      seen = Seen_cache.create ctx.Routing_intf.engine ~ttl:config.delete_period;
-      pending =
-        Pending.create ~ttl:config.pending_ttl ~engine:ctx.Routing_intf.engine
-          ~capacity:config.pending_capacity
-          ~drop:(fun data ~size:_ ~reason ->
-            ctx.Routing_intf.drop_data data ~reason)
-          ();
-      discovery = None;
-      racks = Hashtbl.create 16;
-      self_seqno = 1;
-      next_rreq_id = 0;
-      max_denom_seen = 1;
-      label_width_max = 0;
-      label_resets = 0;
-      resets = 0;
-      rack_retx = 0;
-      listener = ignore;
+      On_demand.forward = forward_data;
+      request =
+        (fun t ~dst ~ttl ~attempt:_ ->
+          (* the source never demands a reset: the T bit is set only by
+             relays that detect a fraction overflow (Eq. 11) *)
+          originate_rreq t ~dst ~ttl ~rr:false);
+      give_up =
+        (fun t ~dst ->
+          (* graceful give-up: tell upstream nodes the destination is gone
+             rather than silently stalling their forwarding through us *)
+          match Hashtbl.find_opt t.routes dst with
+          | Some r when Hashtbl.length r.precursors > 0 ->
+              send_rerr t ~dsts:[ dst ] ~to_:Frame.Broadcast
+          | Some _ | None -> ());
+      receive;
+      unicast_failed;
+      gauges;
     }
-  in
-  let discovery =
-    Discovery.create ctx.Routing_intf.engine ~ttls:config.ttls
-      ~node_traversal:config.node_traversal
-      ~send:(fun ~dst ~ttl ~attempt:_ ->
-        (* the source never demands a reset: the T bit is set only by
-           relays that detect a fraction overflow (Eq. 11) *)
-        originate_rreq t ~dst ~ttl ~rr:false)
-      ~give_up:(fun ~dst ->
-        (* graceful give-up: tell upstream nodes the destination is gone
-           rather than silently stalling their forwarding through us *)
-        (match Hashtbl.find_opt t.routes dst with
-        | Some r when Hashtbl.length r.precursors > 0 ->
-            send_rerr t ~dsts:[ dst ] ~to_:Frame.Broadcast
-        | Some _ | None -> ());
-        Pending.drop_all t.pending ~dst ~reason:"route discovery failed")
-  in
-  t.discovery <- Some discovery;
-  ( t,
-    {
-      Routing_intf.originate = originate t;
-      receive = receive t;
-      unicast_failed = unicast_failed t;
-      unicast_ok = (fun ~frame:_ ~dst:_ -> ());
-      gauges = (fun () -> gauges t);
-    } )
 
 let create ?config ctx = snd (create_full ?config ctx)
 

@@ -11,6 +11,7 @@ dune runtest
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+SIM=_build/default/bin/manet_sim.exe
 dune exec bin/manet_sim.exe -- check --nodes 50 --duration 60 --faults \
   > "$tmp/check_faults.txt"
 cmp "$tmp/check_faults.txt" scripts/golden/check_faults.txt
@@ -130,6 +131,26 @@ dune exec bin/manet_sim.exe -- campaign --scenario vg-forged-rrep \
   > "$tmp/adversarial.txt" 2> /dev/null
 cmp "$tmp/adversarial.txt" scripts/golden/vg_forged_rrep.txt
 
+# protocol goldens: every protocol's report and full event stream (trace
+# digest) on a plain and a faulted world must reproduce byte for byte.
+# Between them the ten runs overflow and expire the pending buffer, give
+# up discoveries, salvage, and drop at relays and at crashed nodes.
+for world in "a:--nodes 50 --duration 60" \
+  "b:--nodes 40 --duration 90 --faults --partitions 1"; do
+  tag="${world%%:*}"
+  args="${world#*:}"
+  for p in SRP AODV LDR DSR OLSR; do
+    echo "== $p $args"
+    # shellcheck disable=SC2086
+    "$SIM" run -p "$p" $args --sample-every 5 \
+      --trace-file "$tmp/${p}_$tag.jsonl" 2> /dev/null
+  done
+done > "$tmp/protocols.txt"
+cmp "$tmp/protocols.txt" scripts/golden/protocols.txt
+digests="$(pwd)/scripts/golden/protocol_traces.sha256"
+(cd "$tmp" && sha256sum -c --quiet "$digests")
+rm -f "$tmp"/*_a.jsonl "$tmp"/*_b.jsonl
+
 # throughput regression gate: rerun the committed baseline's reduced
 # campaign (same flags as the BENCH_campaign.json snapshot) and fail when
 # perf.events_per_sec_per_job drops below 75% of the committed number
@@ -142,7 +163,6 @@ grep "regression gate" "$tmp/bench_out.txt"
 # from the checkpoint, and demand stdout and JSON byte-identical to the
 # uninterrupted reference run above (the binary is invoked directly:
 # `dune exec` may not forward the signal)
-SIM=_build/default/bin/manet_sim.exe
 "$SIM" campaign --nodes 20 --duration 10 --trials 1 --flows 3 --quiet \
   -j 2 --resume "$tmp/ckpt.jsonl" --json "$tmp/campaign_resumed.json" \
   > "$tmp/campaign_killed.txt" 2> /dev/null &

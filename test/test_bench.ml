@@ -208,7 +208,8 @@ let status cmd args =
 
 (* one conv per kind of number, shared by both front ends: counts are
    positive, --nodes at least 2, durations and rates positive and finite,
-   retries, pauses and timeouts non-negative *)
+   retries, pauses and timeouts non-negative; a malformed --sabotage spec
+   fails at its conv too *)
 let test_numeric_flags () =
   List.iter
     (fun (cmd, args) ->
@@ -248,6 +249,8 @@ let test_numeric_flags () =
       ("run", "--scale 10k");
       ("bench", "--scale 10k");
       ("run", "--jobs 2");
+      ("campaign", "--sabotage crash:AODV:0");
+      ("campaign", "--sabotage explode:AODV:0:0");
     ]
 
 (* both front ends run one campaign driver: for the same flags the JSON

@@ -774,6 +774,36 @@ let test_dsr_forwarding () =
       Alcotest.(check bool) "forwarded to 5" true (f.Frame.dst = Frame.Unicast 5)
   | l -> Alcotest.failf "expected forward, got %d" (List.length l)
 
+(* a relay and a salvaging node keep the payload size the source sent *)
+let test_dsr_keeps_payload_size () =
+  let learn agent ~src path =
+    agent.RI.receive ~src
+      (Frame.make ~src ~dst:(Frame.Unicast (List.hd path)) ~size:40
+         ~payload:(Dsr.Rrep { rp_path = path; rp_back = [ List.hd path ] }))
+  in
+  let data_frame h =
+    match List.filter Frame.is_data (take_sent h) with
+    | [ f ] -> f
+    | l -> Alcotest.failf "expected 1 data frame, got %d" (List.length l)
+  in
+  let h0 = harness () in
+  let _, source = Dsr.create_full h0.ctx in
+  learn source ~src:1 [ 0; 1; 2 ];
+  source.RI.originate (mk_data ~dst:2 ()) ~size:100;
+  let sent = data_frame h0 in
+  let h1 = harness ~id:1 () in
+  let _, relay = Dsr.create_full h1.ctx in
+  relay.RI.receive ~src:0 sent;
+  let relayed = data_frame h1 in
+  Alcotest.(check int) "relayed frame size" sent.Frame.size relayed.Frame.size;
+  learn relay ~src:3 [ 1; 3; 2 ];
+  relay.RI.unicast_failed ~frame:relayed ~dst:2;
+  let salvaged = data_frame h1 in
+  Alcotest.(check bool) "salvaged via 3" true
+    (salvaged.Frame.dst = Frame.Unicast 3);
+  Alcotest.(check int) "salvaged frame size" sent.Frame.size
+    salvaged.Frame.size
+
 (* ------------------------------------------------------------------ *)
 (* OLSR *)
 
@@ -1011,9 +1041,8 @@ let test_seen_cache () =
 let test_pending_buffer () =
   let drops = ref 0 in
   let p =
-    Protocols.Pending.create ~capacity:2 ~drop:(fun _ ~size:_ ~reason:_ ->
-        incr drops)
-      ()
+    Protocols.Pending.create ~ttl:30.0 ~engine:(Des.Engine.create ())
+      ~capacity:2 ~drop:(fun _ ~size:_ ~reason:_ -> incr drops)
   in
   Protocols.Pending.push p ~dst:5 (mk_data ~seq:1 ()) ~size:512;
   Protocols.Pending.push p ~dst:5 (mk_data ~seq:2 ()) ~size:512;
@@ -1031,7 +1060,6 @@ let test_pending_expiry () =
   let p =
     Protocols.Pending.create ~ttl:2.0 ~engine:e ~capacity:8
       ~drop:(fun d ~size:_ ~reason -> drops := (d.Frame.seq, reason) :: !drops)
-      ()
   in
   Protocols.Pending.push p ~dst:5 (mk_data ~seq:1 ()) ~size:512;
   ignore
@@ -1048,6 +1076,99 @@ let test_pending_expiry () =
   Des.Engine.run e ~until:3.5;
   Alcotest.(check int) "second expired" 2 (List.length !drops);
   Alcotest.(check int) "empty" 0 (Protocols.Pending.count p ~dst:5)
+
+(* The on-demand core's packet fates, against a stub protocol whose route
+   table is a plain next-hop map and whose requests are only counted. *)
+module OD = Protocols.On_demand
+
+type stub = {
+  core : OD.t;
+  routes : (int, int) Hashtbl.t;
+  mutable requests : int;
+}
+
+let stub_agent h =
+  OD.create h.ctx ~seen_ttl:30.0 ~pending_capacity:8 ~pending_ttl:30.0
+    ~ttls:[ 1 ] ~node_traversal:0.04
+    (fun core -> { core; routes = Hashtbl.create 4; requests = 0 })
+    {
+      OD.forward =
+        (fun s data ~size ->
+          match Hashtbl.find_opt s.routes data.Frame.final_dst with
+          | None -> false
+          | Some next_hop ->
+              ignore
+                (OD.hop h.ctx ~data_ttl:4 ~ip_overhead:20 ~next_hop data ~size);
+              true);
+      request = (fun s ~dst:_ ~ttl:_ ~attempt:_ -> s.requests <- s.requests + 1);
+      give_up = (fun _ ~dst:_ -> ());
+      receive = (fun _ ~src:_ _ -> ());
+      unicast_failed = (fun _ ~frame:_ ~dst:_ -> ());
+      gauges = (fun _ -> RI.no_gauges);
+    }
+
+let test_on_demand_fates () =
+  let originate agent ?(hops = 0) ~dst seq =
+    let data = mk_data ~dst ~seq () in
+    data.Frame.hops <- hops;
+    agent.RI.originate data ~size:512
+  in
+  let cases =
+    [
+      ( "addressed to self: delivered",
+        (fun _ _ agent -> originate agent ~dst:0 1),
+        ([ 1 ], [], [], 0) );
+      ( "no route: parked, one discovery",
+        (fun _ _ agent ->
+          originate agent ~dst:5 1;
+          originate agent ~dst:5 2;
+          Alcotest.(check int) "both parked" 2
+            (agent.RI.gauges ()).RI.pending_packets),
+        ([], [], [], 1) );
+      ( "resolve: arrival order, then no route after reply",
+        (fun _ s agent ->
+          originate agent ~dst:5 1;
+          originate agent ~dst:6 2;
+          originate agent ~dst:5 3;
+          Hashtbl.replace s.routes 5 3;
+          OD.resolve s.core ~dst:5;
+          OD.resolve s.core ~dst:6),
+        ([], [ (1, 3, 532); (3, 3, 532) ], [ (2, "no route after reply") ], 2)
+      );
+      ( "give-up: route discovery failed",
+        (fun h _ agent ->
+          originate agent ~dst:5 1;
+          run h),
+        ([], [], [ (1, "route discovery failed") ], 2) );
+      ( "over the hop limit: ttl exceeded",
+        (fun _ s agent ->
+          Hashtbl.replace s.routes 5 3;
+          originate agent ~hops:3 ~dst:5 1;
+          originate agent ~hops:4 ~dst:5 2),
+        ([], [ (1, 3, 532) ], [ (2, "ttl exceeded") ], 0) );
+    ]
+  in
+  List.iter
+    (fun (name, script, (delivered, sent, dropped, requests)) ->
+      let h = harness () in
+      let s, agent = stub_agent h in
+      script h s agent;
+      let data_frames =
+        List.filter_map
+          (fun f ->
+            match (f.Frame.payload, f.Frame.dst) with
+            | Frame.Data d, Frame.Unicast hop -> Some (d.Frame.seq, hop, f.Frame.size)
+            | _ -> None)
+          (take_sent h)
+      in
+      Alcotest.(check (list int)) (name ^ ": delivered") delivered
+        (List.rev_map (fun d -> d.Frame.seq) !(h.delivered));
+      Alcotest.(check (list (triple int int int))) (name ^ ": sent") sent
+        data_frames;
+      Alcotest.(check (list (pair int string))) (name ^ ": dropped") dropped
+        (List.rev_map (fun (d, r) -> (d.Frame.seq, r)) !(h.dropped));
+      Alcotest.(check int) (name ^ ": requests") requests s.requests)
+    cases
 
 let test_discovery_backoff () =
   let e = Des.Engine.create () in
@@ -1132,6 +1253,8 @@ let () =
           Alcotest.test_case "cache and source-routed send" `Quick
             test_dsr_cache_and_send;
           Alcotest.test_case "forwarding" `Quick test_dsr_forwarding;
+          Alcotest.test_case "relay and salvage keep payload size" `Quick
+            test_dsr_keeps_payload_size;
         ] );
       ( "olsr",
         [
@@ -1162,5 +1285,7 @@ let () =
           Alcotest.test_case "pending expiry" `Quick test_pending_expiry;
           Alcotest.test_case "discovery ring + backoff" `Quick
             test_discovery_backoff;
+          Alcotest.test_case "on-demand packet fates" `Quick
+            test_on_demand_fates;
         ] );
     ]
