@@ -833,8 +833,11 @@ let prop_heap_fifo =
 (* Spatial grid vs naive channel scan: the grid's candidate set must be a
    superset of the exact in-range set, and a channel backed by it must be
    observationally identical to the full O(N) sweep — same deliveries,
-   same collisions, in the same engine order. Mobile nodes exercise the
-   staleness slack (radius inflated by max_speed since the last rebuild). *)
+   same collisions, in the same engine order, and the same carrier-sense
+   horizon at every node whenever it is probed. Mobile nodes exercise the
+   staleness slack (radius inflated by max_speed since the last rebuild)
+   and the drift slack of the bucketed air (a sender moves while its frame
+   is on the air). *)
 
 type channel_case = {
   cnodes : int;
@@ -914,27 +917,49 @@ let channel_grid_law c =
       Wireless.Channel.create ?grid engine ~nodes:c.cnodes ~position ~range
         ~cs_range
     in
-    let log = ref [] in
+    let log = ref [] and horizons = ref [] in
     for i = 0 to c.cnodes - 1 do
       Wireless.Channel.set_receiver ch i (fun ~src pdu ->
           log := (Des.Engine.now engine, i, src, pdu) :: !log)
     done;
+    (* carrier sense at every node, right after each transmission starts
+       and again mid-airtime, when the sender has drifted from the cell
+       the grid channel filed its frame under *)
+    let probe () =
+      horizons :=
+        (Des.Engine.now engine, Array.init c.cnodes (Wireless.Channel.busy_until ch))
+        :: !horizons
+    in
     List.iteri
       (fun k (src, q, d) ->
+        let time = 0.25 *. float_of_int q and duration = tx_durations.(d) in
         ignore
-          (Des.Engine.schedule_at engine
-             ~time:(0.25 *. float_of_int q)
-             (fun () ->
-               Wireless.Channel.transmit ch ~src ~duration:tx_durations.(d) k)))
+          (Des.Engine.schedule_at engine ~time (fun () ->
+               Wireless.Channel.transmit ch ~src ~duration k));
+        ignore (Des.Engine.schedule_at engine ~time probe);
+        ignore
+          (Des.Engine.schedule_at engine ~time:(time +. (duration /. 2.0)) probe))
       c.ctx;
     Des.Engine.run_all engine;
     ( List.rev !log,
       Wireless.Channel.collisions ch,
-      List.init c.cnodes (Wireless.Channel.collisions_at ch) )
+      List.init c.cnodes (Wireless.Channel.collisions_at ch),
+      List.rev !horizons )
   in
-  let log_n, coll_n, per_n = run None in
-  let log_g, coll_g, per_g =
+  let log_n, coll_n, per_n, cs_n = run None in
+  let log_g, coll_g, per_g, cs_g =
     run (Some { Wireless.Channel.max_speed; epoch = 0.25 })
+  in
+  let busy_divergence =
+    List.find_map
+      (fun ((now, a), (_, b)) ->
+        let rec scan i =
+          if i >= Array.length a then None
+          else if a.(i) <> b.(i) then Some (now, i, a.(i), b.(i))
+          else scan (i + 1)
+        in
+        scan 0)
+      (List.combine cs_n cs_g)
   in
   if log_n <> log_g then
     Error
@@ -943,7 +968,14 @@ let channel_grid_law c =
   else if coll_n <> coll_g then
     Error (Printf.sprintf "collision totals diverge: %d vs %d" coll_n coll_g)
   else if per_n <> per_g then Error "per-node collision counts diverge"
-  else begin
+  else
+    match busy_divergence with
+    | Some (now, i, a, b) ->
+        Error
+          (Printf.sprintf
+             "busy_until at t=%.4f node %d diverges: naive %h, grid %h" now i
+             a b)
+    | None ->
     (* candidate-superset oracle on a standalone grid, queried at each
        transmission instant against the brute-force in-range set *)
     let grid =
@@ -975,7 +1007,6 @@ let channel_grid_law c =
           (Printf.sprintf
              "grid candidates at t=%.2f miss in-range node %d" now j)
     | None -> Ok ()
-  end
 
 let prop_channel_grid =
   Runner.cell ~cost:2 ~name:"channel-grid-equiv" ~print:channel_print

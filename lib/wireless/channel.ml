@@ -6,6 +6,189 @@ type reception = {
 
 type grid = { max_speed : float; epoch : float }
 
+(* (src, until) pairs as parallel arrays compacted in place: [busy_until]
+   runs on every MAC backoff expiry, so rebuilding a list there dominated
+   kilonode allocation *)
+type air = {
+  mutable src : int array;
+  mutable until : float array;
+  mutable len : int;
+}
+
+let air_push a s until =
+  let capacity = Array.length a.src in
+  if a.len = capacity then begin
+    let src = Array.make (2 * capacity) 0 in
+    let u = Array.make (2 * capacity) neg_infinity in
+    Array.blit a.src 0 src 0 a.len;
+    Array.blit a.until 0 u 0 a.len;
+    a.src <- src;
+    a.until <- u
+  end;
+  a.src.(a.len) <- s;
+  a.until.(a.len) <- until;
+  a.len <- a.len + 1
+
+(* The grid channel's air: each in-flight frame sits in the bucket of its
+   sender's cell at transmission start, so carrier sense and the collision
+   sweep read the cells around a query instead of the whole air. Cells of
+   side [cell] wrap onto a [side] x [side] table ([side] a power of two
+   sized from the node count, so a 100-node channel allocates 64 buckets):
+   a window narrower than [side] cells on both axes visits each bucket at
+   most once, a wider one visits the whole table once, so no entry is ever
+   seen twice. Entries live in a flat pool threaded by [next] links; an
+   entry whose guard window has closed goes back to the free list when a
+   query walks its bucket. Per-row entry counts let a query skip empty
+   rows, which at 100 nodes are most of them.
+
+   A sender keeps moving while its frame is on the air. An entry is live
+   for at most [longest] airtime plus the guard, so its sender is within
+   [max_speed * (longest + guard)] of the position it was bucketed under:
+   widening every query by that drift keeps the gathered set a superset of
+   the exact in-range set. *)
+module Cells = struct
+  type t = {
+    inv_cell : float;
+    cell : float;
+    side : int;
+    shift : int;  (** log2 side *)
+    max_speed : float;
+    mutable longest : float;  (** longest airtime added so far *)
+    head : int array;  (** bucket -> first entry, -1 when empty *)
+    row_used : int array;  (** table row -> entries in its buckets *)
+    mutable used : int;
+    mutable next : int array;  (** entry -> next in its bucket or free list *)
+    mutable src : int array;
+    mutable until : float array;
+    mutable free : int;
+  }
+
+  let create ~nodes ~cell ~max_speed =
+    (* one bucket per four nodes: at the paper's density (one node per
+       13,200 m^2, cells of 275 m) a square world then fits the table
+       without wrapping *)
+    let shift = ref 0 in
+    while 4 lsl (2 * !shift) < nodes do
+      incr shift
+    done;
+    let side = 1 lsl !shift in
+    {
+      inv_cell = 1.0 /. cell;
+      cell;
+      side;
+      shift = !shift;
+      max_speed;
+      longest = 0.0;
+      head = Array.make (side * side) (-1);
+      row_used = Array.make side 0;
+      used = 0;
+      next = [||];
+      src = [||];
+      until = [||];
+      free = -1;
+    }
+
+  let cell_of t v = int_of_float (Float.floor (v *. t.inv_cell))
+
+  let drift t ~guard = t.max_speed *. (t.longest +. guard)
+
+  let grow t =
+    let n = Array.length t.next in
+    let n' = Stdlib.max 16 (2 * n) in
+    let extend a fill =
+      let b = Array.make n' fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.next <- extend t.next (-1);
+    t.src <- extend t.src 0;
+    t.until <- extend t.until neg_infinity;
+    for e = n' - 1 downto n do
+      t.next.(e) <- t.free;
+      t.free <- e
+    done
+
+  let add t ~x ~y ~src ~until ~airtime =
+    if airtime > t.longest then t.longest <- airtime;
+    if t.free < 0 then grow t;
+    let e = t.free in
+    t.free <- t.next.(e);
+    let mask = t.side - 1 in
+    let row = cell_of t y land mask in
+    let b = (row lsl t.shift) + (cell_of t x land mask) in
+    t.src.(e) <- src;
+    t.until.(e) <- until;
+    t.next.(e) <- t.head.(b);
+    t.head.(b) <- e;
+    t.row_used.(row) <- t.row_used.(row) + 1;
+    t.used <- t.used + 1
+
+  (* walk bucket [b]: free the entries whose guard window has closed (the
+     naive prune's test), push the rest into [out] *)
+  let sweep t b ~now ~guard out =
+    let prev = ref (-1) and e = ref t.head.(b) in
+    while !e >= 0 do
+      let cur = !e in
+      let nx = t.next.(cur) in
+      if t.until.(cur) +. guard > now then begin
+        air_push out t.src.(cur) t.until.(cur);
+        prev := cur
+      end
+      else begin
+        if !prev < 0 then t.head.(b) <- nx else t.next.(!prev) <- nx;
+        t.next.(cur) <- t.free;
+        t.free <- cur;
+        let row = b lsr t.shift in
+        t.row_used.(row) <- t.row_used.(row) - 1;
+        t.used <- t.used - 1
+      end;
+      e := nx
+    done
+
+  let sweep_row t row ~cx0 ~cx1 ~now ~guard out =
+    let mask = t.side - 1 in
+    let base = row lsl t.shift in
+    for cx = cx0 to cx1 do
+      let b = base + (cx land mask) in
+      if t.head.(b) >= 0 then sweep t b ~now ~guard out
+    done
+
+  (* [gather t out ~x ~y ~radius ~now ~guard] replaces [out] with the live
+     entries whose sender is within [radius] of (x, y) now, plus entries of
+     the same cells farther out. The window widens [radius] by the drift
+     and by a relative 1e-9 that absorbs rounding in the cell arithmetic;
+     each row of cells spans only the disc's chord at the row's edge
+     nearest the centre. *)
+  let gather t out ~x ~y ~radius ~now ~guard =
+    out.len <- 0;
+    if t.used > 0 then begin
+      let r = (radius +. drift t ~guard) *. (1.0 +. 1e-9) in
+      let cy0 = cell_of t (y -. r) and cy1 = cell_of t (y +. r) in
+      let cx0 = cell_of t (x -. r) and cx1 = cell_of t (x +. r) in
+      let mask = t.side - 1 in
+      if cy1 - cy0 >= mask || cx1 - cx0 >= mask then
+        for row = 0 to mask do
+          if t.row_used.(row) > 0 then
+            sweep_row t row ~cx0:0 ~cx1:mask ~now ~guard out
+        done
+      else
+        for cy = cy0 to cy1 do
+          let row = cy land mask in
+          if t.row_used.(row) > 0 then begin
+            let lo = float_of_int cy *. t.cell in
+            let dy =
+              if y < lo then lo -. y
+              else if y > lo +. t.cell then y -. (lo +. t.cell)
+              else 0.0
+            in
+            let half = sqrt (Float.max 0.0 ((r *. r) -. (dy *. dy))) in
+            sweep_row t row ~cx0:(cell_of t (x -. half))
+              ~cx1:(cell_of t (x +. half)) ~now ~guard out
+          end
+        done
+    end
+end
+
 type 'a t = {
   engine : Des.Engine.t;
   trace : Trace.t;
@@ -25,16 +208,17 @@ type 'a t = {
   tx_until : float array;
   (* in-progress receptions per node, pruned lazily *)
   rx_active : reception list array;
-  (* all in-progress transmissions, for carrier sense, as parallel arrays
-     compacted in place: [busy_until] runs on every MAC backoff expiry, so
-     rebuilding a (src, until) list there dominated kilonode allocation *)
-  mutable air_src : int array;
-  mutable air_until : float array;
-  mutable air_len : int;
+  (* the air entries a scan considers: on the naive channel every
+     in-progress transmission (for carrier sense and the collision
+     sweep); on the grid channel the live entries a query gathered from
+     [cells] *)
+  air : air;
   mutable collision_count : int;
   collision_at : int array;
   (* spatial index pruning the per-frame neighbour scan; None = full scan *)
   grid : Grid.t option;
+  (* in-flight frames bucketed by cell, present iff [grid] is *)
+  cells : Cells.t option;
   (* per-(node, time) position memo: one frame event looks the same nodes
      up at the same instant many times, and Waypoint.position is a binary
      search per call. Flat x/y arrays keep the floats unboxed and the
@@ -50,8 +234,16 @@ type 'a t = {
 (* rx-end delivery events, distinct from the synchronous sweep above *)
 let span_rx = Obs.span "event.channel.rx"
 
+(* cells half of cs_range wide: a carrier-sense query's row-clipped window
+   covers about twice its disc in five rows *)
 let create ?(trace = Trace.null) ?grid engine ~nodes ~position ~range ~cs_range =
   if cs_range < range then invalid_arg "Channel.create: cs_range < range";
+  let cells =
+    Option.map
+      (fun { max_speed; _ } ->
+        Cells.create ~nodes ~cell:(cs_range /. 2.0) ~max_speed)
+      grid
+  in
   let grid =
     Option.map
       (fun { max_speed; epoch } ->
@@ -72,12 +264,11 @@ let create ?(trace = Trace.null) ?grid engine ~nodes ~position ~range ~cs_range 
     filter = None;
     tx_until = Array.make nodes neg_infinity;
     rx_active = Array.make nodes [];
-    air_src = Array.make 16 0;
-    air_until = Array.make 16 neg_infinity;
-    air_len = 0;
+    air = { src = Array.make 16 0; until = Array.make 16 neg_infinity; len = 0 };
     collision_count = 0;
     collision_at = Array.make nodes 0;
     grid;
+    cells;
     pos_at = Array.make (Stdlib.max nodes 1) nan;
     pos_x = Array.make (Stdlib.max nodes 1) 0.0;
     pos_y = Array.make (Stdlib.max nodes 1) 0.0;
@@ -110,37 +301,35 @@ let pos t i time =
   refresh_pos t i time;
   Vec2.make ~x:t.pos_x.(i) ~y:t.pos_y.(i)
 
-(* compact the air arrays in place, keeping entries through the guard
-   window (busy_until needs them); entry order never affects results —
-   corrupt is idempotent per frame, busy_until takes a max *)
+(* compact the naive channel's air in place, keeping entries through the
+   guard window (busy_until needs them); entry order never affects
+   results — corrupt is idempotent per frame, busy_until takes a max *)
 let prune t =
   let time = now t in
-  let src = t.air_src and until = t.air_until in
+  let a = t.air in
   let k = ref 0 in
-  for i = 0 to t.air_len - 1 do
-    if until.(i) +. t.idle_guard > time then begin
+  for i = 0 to a.len - 1 do
+    if a.until.(i) +. t.idle_guard > time then begin
       if !k <> i then begin
-        src.(!k) <- src.(i);
-        until.(!k) <- until.(i)
+        a.src.(!k) <- a.src.(i);
+        a.until.(!k) <- a.until.(i)
       end;
       incr k
     end
   done;
-  t.air_len <- !k
+  a.len <- !k
 
-let air_add t s tx_end =
-  let capacity = Array.length t.air_src in
-  if t.air_len = capacity then begin
-    let src = Array.make (2 * capacity) 0 in
-    let until = Array.make (2 * capacity) neg_infinity in
-    Array.blit t.air_src 0 src 0 t.air_len;
-    Array.blit t.air_until 0 until 0 t.air_len;
-    t.air_src <- src;
-    t.air_until <- until
-  end;
-  t.air_src.(t.air_len) <- s;
-  t.air_until.(t.air_len) <- tx_end;
-  t.air_len <- t.air_len + 1
+(* Leave in [t.air] the entries a scan around node [i] out to [radius]
+   must consider: the whole air, pruned, on the naive channel; the live
+   entries of the cells around [i] on the grid channel. *)
+let air_near t i ~radius =
+  match t.cells with
+  | None -> prune t
+  | Some c ->
+      let time = now t in
+      refresh_pos t i time;
+      Cells.gather c t.air ~x:t.pos_x.(i) ~y:t.pos_y.(i) ~radius ~now:time
+        ~guard:t.idle_guard
 
 let transmitting t i = t.tx_until.(i) > now t
 
@@ -154,14 +343,26 @@ let within t a b ~radius =
 
 let in_range t a b = within t a b ~radius:t.range
 
+(* deterministic work counters for --prof: carrier-sense queries, the
+   air entries they scan, and the entries the per-receiver interferer
+   sweep scans *)
+let cs_queries = Obs.counter "channel.cs.queries"
+let cs_scanned = Obs.counter "channel.cs.scanned"
+let rx_scanned = Obs.counter "channel.rx.scanned"
+
 let busy_until t i =
-  prune t;
+  air_near t i ~radius:t.cs_range;
   let time = now t in
   let horizon = ref time in
   if t.tx_until.(i) > !horizon then horizon := t.tx_until.(i);
-  for k = 0 to t.air_len - 1 do
-    let src = t.air_src.(k) in
-    let guarded = t.air_until.(k) +. t.idle_guard in
+  let a = t.air in
+  if Obs.enabled () then begin
+    Obs.incr cs_queries;
+    Obs.add cs_scanned a.len
+  end;
+  for k = 0 to a.len - 1 do
+    let src = a.src.(k) in
+    let guarded = a.until.(k) +. t.idle_guard in
     if src <> i && guarded > !horizon && within t i src ~radius:t.cs_range
     then horizon := guarded
   done;
@@ -225,14 +426,19 @@ let prune_rx t j time =
 let transmit_body t ~src ~duration pdu =
   let time = now t in
   let tx_end = time +. duration in
-  prune t;
-  air_add t src tx_end;
+  let pos_src = pos t src time in
+  let sx = pos_src.Vec2.x and sy = pos_src.Vec2.y in
+  (* every interferer the sweep below can count lies within cs_range of a
+     receiver within range of [src] *)
+  air_near t src ~radius:(t.range +. t.cs_range);
+  (match t.cells with
+   | None -> air_push t.air src tx_end
+   | Some c -> Cells.add c ~x:sx ~y:sy ~src ~until:tx_end ~airtime:duration);
   if tx_end > t.tx_until.(src) then t.tx_until.(src) <- tx_end;
   (* half duplex: starting a transmission ruins any reception in progress *)
   prune_rx t src time;
   List.iter (corrupt t src) t.rx_active.(src);
-  let pos_src = pos t src time in
-  let sx = pos_src.Vec2.x and sy = pos_src.Vec2.y in
+  let a = t.air in
   let touch j =
     if j <> src then begin
       refresh_pos t j time;
@@ -250,9 +456,10 @@ let transmit_body t ~src ~duration pdu =
           List.iter (fun other -> clash t j ~rx_a:rx ~rx_b:other)
             t.rx_active.(j);
           (* interferers already in the air but too far to decode *)
-          for k = 0 to t.air_len - 1 do
-            let other_src = t.air_src.(k) in
-            if other_src <> src && other_src <> j && t.air_until.(k) > time
+          if Obs.enabled () then Obs.add rx_scanned a.len;
+          for k = 0 to a.len - 1 do
+            let other_src = a.src.(k) in
+            if other_src <> src && other_src <> j && a.until.(k) > time
             then begin
               refresh_pos t other_src time;
               let dxo = t.pos_x.(other_src) -. jx

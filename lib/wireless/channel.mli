@@ -13,13 +13,20 @@
 
 type 'a t
 
-(** Enables the spatial-grid hot path: neighbour scans in [transmit] and
+(** Enables the spatial-grid hot path. Neighbour scans in [transmit] and
     [neighbors] sweep only hash-grid buckets covering the query disc
-    instead of all N nodes. [max_speed] must bound every node's speed and
-    [epoch] is the maximum grid staleness before a lazy rebuild; the two
-    together size the query slack that keeps the candidate set a superset
-    of the exact in-range set, so results are identical to the naive scan
-    (enforced by the [channel-grid-equiv] property). *)
+    instead of all N nodes. The air is local too: each in-flight frame is
+    filed in a bucket keyed by its sender's cell at transmission start, so
+    [busy_until] and the per-receiver collision sweep of [transmit] read
+    only the frames filed near the query rather than every frame on the
+    air. [max_speed] must bound every node's speed and [epoch] is the
+    maximum grid staleness before a lazy rebuild; the two together size
+    the node-grid slack, and [max_speed] times the longest airtime seen
+    plus the idle guard is the drift slack of the bucketed air (a sender
+    keeps moving while its frame is on the air). Both slacks keep every
+    gathered set a superset of the exact in-range set, so results are
+    identical to the naive scan (enforced by the [channel-grid-equiv]
+    property, which also compares every node's [busy_until]). *)
 type grid = { max_speed : float; epoch : float }
 
 (** @raise Invalid_argument when [cs_range < range]. [trace] records a
@@ -53,7 +60,14 @@ val transmit : 'a t -> src:int -> duration:float -> 'a -> unit
     goes idle (including the post-frame guard); [now] when already idle, so
     the medium is busy iff the result exceeds [now]. Lets a MAC anchor its
     re-contention at the idle boundary the way DCF's frozen backoff
-    counters do. *)
+    counters do.
+
+    Cost: the naive channel scans every frame on the air. The grid channel
+    scans the frames filed in the cells within [cs_range] plus the drift
+    slack of [i], so the work per query follows the local air, not N.
+    With profiling on, the [channel.cs.queries] and [channel.cs.scanned]
+    counters record queries and frames scanned ([channel.rx.scanned]
+    counts the frames the collision sweep scans per receiver). *)
 val busy_until : 'a t -> int -> float
 
 (** Is the node itself transmitting right now? *)

@@ -14,9 +14,12 @@ type t = {
   ids : int array;
   xs : float array;
   ys : float array;
-  (* query scratch: candidates gathered here, then sorted in place *)
+  (* query scratch: candidates gathered into [gather] as ascending bucket
+     runs delimited by [runs], then merged pairwise through [spare], or,
+     for dense queries, ordered by a sweep over the membership [mask] *)
   gather : int array;
-  (* query scratch for dense candidate sets: membership mask *)
+  spare : int array;
+  runs : int array;
   mask : bool array;
   mutable rebuild_count : int;
 }
@@ -41,6 +44,8 @@ let create ~nodes ~position ~cell ~max_speed ~epoch =
     xs = Array.make (Stdlib.max nodes 1) 0.0;
     ys = Array.make (Stdlib.max nodes 1) 0.0;
     gather = Array.make (Stdlib.max nodes 1) 0;
+    spare = Array.make (Stdlib.max nodes 1) 0;
+    runs = Array.make (nodes + 1) 0;
     mask = Array.make (Stdlib.max nodes 1) false;
     rebuild_count = 0;
   }
@@ -103,6 +108,54 @@ let ensure t ~now =
 
 let clampi v lo hi = if v < lo then lo else if v > hi then hi else v
 
+(* merge the ascending runs [a.(lo..mid)] and [a.(mid..hi)] into
+   [b.(lo..hi)]. Branch-free: node ids are distinct and the runs
+   interleave at random, so a compare-and-branch merge mispredicts about
+   every other move; [c] is -1 when the left head is the smaller. *)
+let merge2 (a : int array) (b : int array) lo mid hi =
+  let i = ref lo and j = ref mid and k = ref lo in
+  while !i < mid && !j < hi do
+    let x = Array.unsafe_get a !i and y = Array.unsafe_get a !j in
+    let c = (x - y) asr 62 in
+    Array.unsafe_set b !k (y + ((x - y) land c));
+    i := !i - c;
+    j := !j + 1 + c;
+    incr k
+  done;
+  (* one run is spent; the rest of the other is short, so copy it by hand
+     rather than pay a C call *)
+  for q = !i to mid - 1 do
+    Array.unsafe_set b (!k + q - !i) (Array.unsafe_get a q)
+  done;
+  for q = !j to hi - 1 do
+    Array.unsafe_set b (!k + q - !j) (Array.unsafe_get a q)
+  done
+
+(* [runs.(0..k)] delimits [k] ascending runs of [gather]: merge them
+   pairwise, ping-ponging with [spare], in O(m log k) moves, and return the
+   buffer left holding the sorted candidates *)
+let merge_runs t k =
+  let src = ref t.gather and dst = ref t.spare and k = ref k in
+  let runs = t.runs in
+  while !k > 1 do
+    let a = !src and b = !dst in
+    let out = ref 0 and r = ref 0 in
+    while !r < !k do
+      let lo = runs.(!r) and hi = runs.(Stdlib.min (!r + 2) !k) in
+      (* a lone last run merges with an empty one: a plain copy *)
+      merge2 a b lo (if !r + 1 < !k then runs.(!r + 1) else hi) hi;
+      (* out <= r / 2: every bound this pass still reads lies ahead *)
+      runs.(!out) <- lo;
+      incr out;
+      r := !r + 2
+    done;
+    runs.(!out) <- runs.(!k);
+    k := !out;
+    src := b;
+    dst := a
+  done;
+  !src
+
 let iter t ~now ~center ~radius f =
   if t.nodes > 0 then begin
     ensure t ~now;
@@ -122,74 +175,55 @@ let iter t ~now ~center ~radius f =
         f j
       done
     else begin
-    let m = ref 0 in
-    for by = by0 to by1 do
-      for bx = bx0 to bx1 do
-        let b = (by * t.cols) + bx in
-        for k = t.off.(b) to t.off.(b + 1) - 1 do
-          t.gather.(!m) <- t.ids.(k);
-          incr m
+      (* Each bucket holds its ids ascending, so the gather is a sequence
+         of ascending runs, one per non-empty bucket. Candidates are then
+         visited in ascending node order, so a grid-backed scan schedules
+         engine events in exactly the order the naive 0..N-1 loop does.
+         The bucketed positions also prune the window's corners: a node
+         outside the inflated disc there cannot be in the query disc now
+         (the relative 1e-9 absorbs rounding). *)
+      let cx = center.Vec2.x and cy = center.Vec2.y in
+      let r2 = r *. r *. (1.0 +. 1e-9) in
+      let m = ref 0 and k = ref 0 in
+      for by = by0 to by1 do
+        for bx = bx0 to bx1 do
+          let b = (by * t.cols) + bx in
+          let start = !m in
+          for q = t.off.(b) to t.off.(b + 1) - 1 do
+            let j = t.ids.(q) in
+            let dx = t.xs.(j) -. cx and dy = t.ys.(j) -. cy in
+            if (dx *. dx) +. (dy *. dy) <= r2 then begin
+              t.gather.(!m) <- j;
+              incr m
+            end
+          done;
+          if !m > start then begin
+            t.runs.(!k) <- start;
+            incr k
+          end
         done
-      done
-    done;
-    (* buckets interleave ids; visit candidates in ascending node order so
-       a grid-backed scan schedules engine events in exactly the order the
-       naive 0..N-1 loop does *)
-    if !m = t.nodes then
-      (* dense query (e.g. cs_range covering the whole terrain): the
-         candidate set is every node, already in order by construction *)
-      for j = 0 to t.nodes - 1 do
-        f j
-      done
-    else if !m * !m > 4 * t.nodes then begin
-      (* many candidates: an O(nodes + m) membership sweep beats the
-         quadratic insertion sort *)
-      for k = 0 to !m - 1 do
-        t.mask.(t.gather.(k)) <- true
       done;
-      for j = 0 to t.nodes - 1 do
-        if t.mask.(j) then begin
-          t.mask.(j) <- false;
-          f j
-        end
-      done
-    end
-    else begin
-      for i = 1 to !m - 1 do
-        let v = t.gather.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && t.gather.(!j) > v do
-          t.gather.(!j + 1) <- t.gather.(!j);
-          decr j
+      t.runs.(!k) <- !m;
+      if t.nodes <= 8 * !m then begin
+        (* dense query: a membership sweep over every id is O(nodes) =
+           O(m) here, and cheaper than the merge *)
+        for q = 0 to !m - 1 do
+          t.mask.(t.gather.(q)) <- true
         done;
-        t.gather.(!j + 1) <- v
-      done;
-      for k = 0 to !m - 1 do
-        f t.gather.(k)
-      done
-    end
-    end
-  end
-
-(* candidate sweep without the ascending-order guarantee: carrier-sense
-   queries fold the candidates commutatively, so the sort (and the gather
-   pass feeding it) is pure overhead there *)
-let iter_unordered t ~now ~center ~radius f =
-  if t.nodes > 0 then begin
-    ensure t ~now;
-    let r = radius +. (t.max_speed *. (now -. t.built_at)) in
-    let bx0 = clampi (int_of_float ((center.Vec2.x -. r -. t.ox) /. t.cell)) 0 (t.cols - 1) in
-    let bx1 = clampi (int_of_float ((center.Vec2.x +. r -. t.ox) /. t.cell)) 0 (t.cols - 1) in
-    let by0 = clampi (int_of_float ((center.Vec2.y -. r -. t.oy) /. t.cell)) 0 (t.rows - 1) in
-    let by1 = clampi (int_of_float ((center.Vec2.y +. r -. t.oy) /. t.cell)) 0 (t.rows - 1) in
-    for by = by0 to by1 do
-      for bx = bx0 to bx1 do
-        let b = (by * t.cols) + bx in
-        for k = t.off.(b) to t.off.(b + 1) - 1 do
-          f t.ids.(k)
+        for j = 0 to t.nodes - 1 do
+          if t.mask.(j) then begin
+            t.mask.(j) <- false;
+            f j
+          end
         done
-      done
-    done
+      end
+      else begin
+        let sorted = merge_runs t !k in
+        for i = 0 to !m - 1 do
+          f sorted.(i)
+        done
+      end
+    end
   end
 
 let rebuilds t = t.rebuild_count

@@ -38,14 +38,19 @@ val rebuild : t -> now:float -> unit
 (** [iter t ~now ~center ~radius f] calls [f j] for every node [j] in the
     candidate buckets, in ascending node order — a superset of [{ j |
     dist(center, position j now) <= radius }]. The querying node itself is
-    included when it falls in range; callers skip it. *)
-val iter : t -> now:float -> center:Vec2.t -> radius:float -> (int -> unit) -> unit
+    included when it falls in range; callers skip it.
 
-(** Like {!iter} but with no ordering guarantee (bucket order, duplicates
-    impossible): skips the gather-and-sort pass, for commutative folds
-    such as carrier-sense queries. *)
-val iter_unordered :
-  t -> now:float -> center:Vec2.t -> radius:float -> (int -> unit) -> unit
+    Candidates are the nodes of the buckets covering the disc, less those
+    whose bucketed position is already outside the inflated disc.
+
+    Cost: a query whose window covers the whole occupied area calls [f] on
+    every node, O(nodes). Any other query gathers its [m] candidates as
+    one ascending run per non-empty bucket and orders them in O(m log m):
+    a dense query ([m >= nodes / 8]) by a membership sweep over every id,
+    which is then O(m), and any other by merging the [k] runs pairwise,
+    O(m log k). So a query costs what its neighbourhood holds, not
+    [nodes]. *)
+val iter : t -> now:float -> center:Vec2.t -> radius:float -> (int -> unit) -> unit
 
 (** Number of rebuilds performed so far (lazy and forced). *)
 val rebuilds : t -> int

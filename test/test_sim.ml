@@ -561,6 +561,48 @@ let test_config_presets () =
     [ "SRP"; "LDR"; "AODV"; "DSR"; "OLSR" ]
     (List.map C.protocol_name C.all_protocols)
 
+(* Carrier-sense work per query, from the deterministic --prof counters:
+   the grid channel gathers only the air near the querying node, so the
+   mean number of in-flight entries a busy_until query scans at the 5k
+   preset's density stays within 2x of the 100-node figure (the global
+   scan it replaced ran about 30x). No timing involved. *)
+let cs_scanned_per_query scale ~duration =
+  let s = Option.get (C.scale_of_name scale) in
+  let config =
+    C.apply_scale s
+      {
+        C.reproduction with
+        duration;
+        traffic_start = 5.0;
+        pause = 0.0;
+        protocol = C.Srp;
+        seed = 0;
+      }
+  in
+  let queries = Obs.counter "channel.cs.queries"
+  and scanned = Obs.counter "channel.cs.scanned" in
+  Obs.reset ();
+  ignore (Sim.Runner.run config);
+  Alcotest.(check int) "untraced run counts nothing" 0
+    (Obs.counter_value queries);
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      ignore (Sim.Runner.run config);
+      let q = Obs.counter_value queries in
+      Alcotest.(check bool) (scale ^ " ran carrier-sense queries") true (q > 0);
+      float_of_int (Obs.counter_value scanned) /. float_of_int q)
+
+let test_cs_scan_flat () =
+  let at_100 = cs_scanned_per_query "100" ~duration:20.0 in
+  let at_5k = cs_scanned_per_query "5k" ~duration:5.1 in
+  if at_5k > 2.0 *. at_100 then
+    Alcotest.failf "entries scanned per query: %.2f at 5k vs %.2f at 100" at_5k
+      at_100
+
 let () =
   Alcotest.run "sim"
     [
@@ -606,6 +648,11 @@ let () =
         [
           Alcotest.test_case "experiment + report" `Slow test_campaign_and_report;
           Alcotest.test_case "config presets" `Quick test_config_presets;
+        ] );
+      ( "scale",
+        [
+          Alcotest.test_case "carrier-sense scan flat in n" `Quick
+            test_cs_scan_flat;
         ] );
       ( "parallel",
         [

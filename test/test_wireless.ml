@@ -270,37 +270,130 @@ let test_grid_ascending_order () =
         [ 100.0; 300.0; 550.0; 2000.0 ])
     points
 
-let test_grid_channel_equivalence () =
-  (* the same broadcast schedule through a naive and a grid channel:
-     delivery logs and collision counters must agree exactly *)
-  let n = 40 in
-  let points = scatter ~seed:33 n in
-  let position i _ = points.(i) in
+let test_grid_iter_5k () =
+  (* 5,000 nodes at the paper's density, each moving in a straight line at
+     up to 100 m/s, queried 0.2 s after the build: candidates must come out
+     strictly ascending (so without duplicates) and cover the exact disc
+     at the current positions. The radii span every ordering path: sparse
+     queries under the old m^2 > 4n threshold (m <= 141), merged queries
+     above it, dense queries (m >= n / 8) and the whole-area sweep. *)
+  let n = 5000 and max_speed = 100.0 and now = 0.2 in
+  let terrain = T.make ~width:8124.0 ~height:8124.0 in
+  let rng = Des.Rng.create 77L in
+  let start = Array.init n (fun _ -> T.random_point terrain rng) in
+  let velocity =
+    Array.init n (fun _ ->
+        let angle = Des.Rng.float rng (2.0 *. Float.pi) in
+        let speed = Des.Rng.float rng max_speed in
+        vec (speed *. cos angle) (speed *. sin angle))
+  in
+  let position i t = V.add start.(i) (V.scale t velocity.(i)) in
+  let g =
+    Wireless.Grid.create ~nodes:n ~position ~cell:275.0 ~max_speed ~epoch:0.25
+  in
+  Wireless.Grid.rebuild g ~now:0.0;
+  let sizes = ref [] in
+  List.iter
+    (fun radius ->
+      for c = 0 to 49 do
+        let center = position (c * 97) now in
+        let seen = Array.make n false and m = ref 0 and last = ref (-1) in
+        Wireless.Grid.iter g ~now ~center ~radius (fun j ->
+            if j <= !last then
+              Alcotest.failf "radius %.0f: candidate %d after %d" radius j !last;
+            last := j;
+            seen.(j) <- true;
+            incr m);
+        for j = 0 to n - 1 do
+          if V.dist center (position j now) <= radius && not seen.(j) then
+            Alcotest.failf "radius %.0f: in-range node %d missing" radius j
+        done;
+        sizes := !m :: !sizes
+      done)
+    [ 100.0; 550.0; 1000.0; 2000.0; 12000.0 ];
+  let seen_size p = List.exists p !sizes in
+  Alcotest.(check bool) "a query with m <= 141" true (seen_size (fun m -> m <= 141));
+  Alcotest.(check bool) "a query with 141 < m < n / 8" true
+    (seen_size (fun m -> m > 141 && 8 * m < n));
+  Alcotest.(check bool) "a dense query, n / 8 <= m < n" true
+    (seen_size (fun m -> 8 * m >= n && m < n));
+  Alcotest.(check bool) "a whole-area query" true (seen_size (fun m -> m = n))
+
+(* The same broadcast schedule through a naive and a grid channel:
+   delivery logs, collision counters and the carrier-sense horizon of
+   every node — probed at each transmission start and mid-airtime — must
+   agree exactly. [durations] cycle over the frames. *)
+let grid_channel_agrees ~n ~position ~max_speed ~gap ~durations =
+  let frames = 20 * Array.length durations in
   let run grid =
     let e = Des.Engine.create () in
     let ch = Ch.create ?grid e ~nodes:n ~position ~range:250.0 ~cs_range:550.0 in
-    let log = ref [] in
+    let log = ref [] and horizons = ref [] in
     for i = 0 to n - 1 do
       Ch.set_receiver ch i (fun ~src pdu ->
           log := (Des.Engine.now e, i, src, pdu) :: !log)
     done;
-    for k = 0 to 19 do
+    let probe () =
+      horizons := Array.init n (Ch.busy_until ch) :: !horizons
+    in
+    for k = 0 to frames - 1 do
+      let time = float_of_int k *. gap in
+      let duration = durations.(k mod Array.length durations) in
       ignore
-        (Des.Engine.schedule_at e
-           ~time:(float_of_int k *. 3e-4)
-           (fun () -> Ch.transmit ch ~src:(k * 7 mod n) ~duration:1e-3 k))
+        (Des.Engine.schedule_at e ~time (fun () ->
+             Ch.transmit ch ~src:(k * 7 mod n) ~duration k));
+      ignore (Des.Engine.schedule_at e ~time probe);
+      ignore (Des.Engine.schedule_at e ~time:(time +. (duration /. 2.0)) probe)
     done;
     Des.Engine.run_all e;
-    (List.rev !log, Ch.collisions ch, List.init n (Ch.collisions_at ch))
+    ( List.rev !log,
+      Ch.collisions ch,
+      List.init n (Ch.collisions_at ch),
+      List.rev !horizons )
   in
-  let naive = run None in
-  let gridded = run (Some { Ch.max_speed = 0.0; epoch = 0.25 }) in
-  let log_n, coll_n, per_n = naive and log_g, coll_g, per_g = gridded in
+  let log_n, coll_n, per_n, cs_n = run None in
+  let log_g, coll_g, per_g, cs_g =
+    run (Some { Ch.max_speed; epoch = 0.25 })
+  in
   Alcotest.(check int) "same delivery count" (List.length log_n)
     (List.length log_g);
   Alcotest.(check bool) "same delivery log" true (log_n = log_g);
   Alcotest.(check int) "same collision total" coll_n coll_g;
-  Alcotest.(check (list int)) "same per-node collisions" per_n per_g
+  Alcotest.(check (list int)) "same per-node collisions" per_n per_g;
+  Alcotest.(check int) "same probe count" (List.length cs_n) (List.length cs_g);
+  List.iteri
+    (fun p (a, b) ->
+      Array.iteri
+        (fun i h ->
+          if h <> b.(i) then
+            Alcotest.failf "probe %d node %d: busy_until naive %h grid %h" p
+              i h b.(i))
+        a)
+    (List.combine cs_n cs_g)
+
+let test_grid_channel_equivalence () =
+  let points = scatter ~seed:33 40 in
+  grid_channel_agrees ~n:40
+    ~position:(fun i _ -> points.(i))
+    ~max_speed:0.0 ~gap:3e-4 ~durations:[| 1e-3 |]
+
+let test_grid_channel_equivalence_moving () =
+  (* legs far faster than any mobility model's and frames up to 0.3 s: a
+     sender drifts up to 300 m, past a whole cell, from where its frame
+     was filed, which the grid's carrier-sense and collision windows must
+     absorb *)
+  let n = 150 and max_speed = 1000.0 in
+  let rng = Des.Rng.create 41L in
+  let scripts =
+    Array.init n (fun i ->
+        W.generate ~terrain:T.paper
+          ~rng:(Des.Rng.split rng (Printf.sprintf "node%d" i))
+          ~pause:0.0 ~speed_min:(max_speed /. 2.0) ~speed_max:max_speed
+          ~duration:20.0)
+  in
+  grid_channel_agrees ~n
+    ~position:(fun i t -> W.position scripts.(i) t)
+    ~max_speed ~gap:0.02 ~durations:[| 0.3; 0.002; 0.05 |]
 
 (* ------------------------------------------------------------------ *)
 (* MAC *)
@@ -459,8 +552,11 @@ let () =
           Alcotest.test_case "candidate superset" `Quick test_grid_superset;
           Alcotest.test_case "ascending iteration" `Quick
             test_grid_ascending_order;
+          Alcotest.test_case "iter at 5k nodes" `Quick test_grid_iter_5k;
           Alcotest.test_case "naive/grid channel equivalence" `Quick
             test_grid_channel_equivalence;
+          Alcotest.test_case "naive/grid channel equivalence, moving" `Quick
+            test_grid_channel_equivalence_moving;
         ] );
       ( "mac",
         [
