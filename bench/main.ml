@@ -531,7 +531,6 @@ let scale_sweep opts =
           seed = 1;
           pause = 0.0;
           protocol = Sim.Config.Srp;
-          channel = opts.Bench_cli.base.Sim.Config.channel;
         }
     in
     let config =
@@ -562,7 +561,6 @@ let scale_sweep opts =
         ("terrain_height", J.Float config.Sim.Config.terrain.Wireless.Terrain.height);
         ("duration", J.Float config.Sim.Config.duration);
         ("traffic_start", J.Float config.Sim.Config.traffic_start);
-        ("channel", J.String (Sim.Config.channel_name config.Sim.Config.channel));
         ("engine_events", J.Int events);
         ("wall_seconds", J.Float wall);
         ("events_per_sec", J.Float eps);

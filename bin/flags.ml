@@ -50,21 +50,6 @@ let labels_term =
            — wider labels, never resets), or $(b,lex) (lexicographic byte \
            strings). Other protocols ignore it.")
 
-let channel_term =
-  let channel_conv =
-    name_conv Sim.Config.channel_of_name Sim.Config.channel_name
-      ~error:(Printf.sprintf "unknown channel %S (grid|naive)")
-  in
-  Arg.(
-    value
-    & opt channel_conv Sim.Config.Grid
-    & info [ "channel" ] ~docv:"PATH"
-        ~doc:
-          "Neighbour-sweep implementation: $(b,grid) (spatial hash, the \
-           default) or $(b,naive) (the O(n²) full scan kept as the \
-           property-tested oracle). The two are observationally identical; \
-           only wall-clock speed differs.")
-
 let scale_term =
   let scale_conv =
     name_conv Sim.Config.scale_of_name
@@ -230,7 +215,6 @@ let config_term =
       & info [ "rate" ] ~doc:"Packets per second per flow.")
   and+ faults = faults_term
   and+ labels = labels_term
-  and+ channel = channel_term
   in
   Sim.Config.with_labels
     {
@@ -242,7 +226,6 @@ let config_term =
       seed;
       packet_rate;
       faults;
-      channel;
     }
     labels
 

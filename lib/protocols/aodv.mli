@@ -11,17 +11,10 @@
     Fig. 7 shows it growing far faster than LDR's or SRP's. *)
 
 type config = {
-  ttls : int list;
-  node_traversal : float;
   route_lifetime : float;
-  pending_capacity : int;
-  pending_ttl : float;  (** buffered packets expire after this long, s *)
-  relay_jitter : float;
-  data_ttl : int;
   rreq_size : int;
   rrep_size : int;
   rerr_size : int;
-  ip_overhead : int;
 }
 
 val default_config : config

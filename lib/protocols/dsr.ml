@@ -5,34 +5,22 @@ module Frame = Wireless.Frame
 type config = {
   discovery_ttl : int;
   discovery_attempts : int;
-  node_traversal : float;
   cache_capacity : int;
   cache_lifetime : float;
   max_salvages : int;
-  pending_capacity : int;
-  pending_ttl : float;
-  relay_jitter : float;
-  data_ttl : int;
   base_control_size : int;
   per_hop_bytes : int;
-  ip_overhead : int;
 }
 
 let default_config =
   {
     discovery_ttl = 16;
     discovery_attempts = 3;
-    node_traversal = 0.04;
     cache_capacity = 64;
     cache_lifetime = 30.0;
     max_salvages = 2;
-    pending_capacity = 64;
-    pending_ttl = 30.0;
-    relay_jitter = 0.01;
-    data_ttl = 64;
     base_control_size = 24;
     per_hop_bytes = 4;
-    ip_overhead = 20;
   }
 
 type rreq = {
@@ -168,7 +156,7 @@ let control_size t ~hops =
   t.config.base_control_size + (t.config.per_hop_bytes * hops)
 
 let data_size t ~payload_size ~route_len =
-  payload_size + t.config.ip_overhead + 4
+  payload_size + On_demand.ip_overhead + 4
   + (t.config.per_hop_bytes * route_len)
 
 (* the application payload inside a source-routed data frame *)
@@ -191,7 +179,7 @@ let route_data t data ~size ~route ~salvaged =
   match route with
   | _me :: next :: _ ->
       data.Frame.hops <- data.Frame.hops + 1;
-      if data.Frame.hops > t.config.data_ttl then
+      if data.Frame.hops > On_demand.data_ttl then
         t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded"
       else
         send_data t ~next_hop:next
@@ -252,8 +240,7 @@ let handle_rreq t ~from:_ rreq =
             let relayed =
               { rreq with rq_record = record; rq_ttl = rreq.rq_ttl - 1 }
             in
-            On_demand.rebroadcast t.ctx ~span:span_timer
-              ~jitter:t.config.relay_jitter ~kind:"rreq"
+            On_demand.rebroadcast t.ctx ~span:span_timer ~kind:"rreq"
               ~size:(control_size t ~hops:(List.length record))
               (Rreq relayed)
           end
@@ -302,7 +289,7 @@ let handle_dsr_data t dsr ~payload_size =
     match List.nth_opt dsr.dd_route (dsr.dd_idx + 1) with
     | Some next_hop ->
         data.Frame.hops <- data.Frame.hops + 1;
-        if data.Frame.hops > t.config.data_ttl then
+        if data.Frame.hops > On_demand.data_ttl then
           t.ctx.Routing_intf.drop_data data ~reason:"ttl exceeded"
         else
           send_data t ~next_hop
@@ -377,10 +364,8 @@ let receive t ~src frame =
   | _ -> ()
 
 let create_full ?(config = default_config) ctx =
-  On_demand.create ctx ~seen_ttl:30.0 ~pending_capacity:config.pending_capacity
-    ~pending_ttl:config.pending_ttl
+  On_demand.create ctx ~seen_ttl:30.0
     ~ttls:(List.init config.discovery_attempts (fun _ -> config.discovery_ttl))
-    ~node_traversal:config.node_traversal
     (fun core -> { ctx; config; cache = []; core; next_rreq_id = 0 })
     {
       On_demand.forward = try_send;

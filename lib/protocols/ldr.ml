@@ -3,32 +3,18 @@ let span_timer = Obs.span "proto.ldr.timer"
 module Frame = Wireless.Frame
 
 type config = {
-  ttls : int list;
-  node_traversal : float;
   route_lifetime : float;
-  pending_capacity : int;
-  pending_ttl : float;
-  relay_jitter : float;
-  data_ttl : int;
   rreq_size : int;
   rrep_size : int;
   rerr_size : int;
-  ip_overhead : int;
 }
 
 let default_config =
   {
-    ttls = [ 1; 3; 7; 16 ];
-    node_traversal = 0.04;
     route_lifetime = 10.0;
-    pending_capacity = 64;
-    pending_ttl = 30.0;
-    relay_jitter = 0.01;
-    data_ttl = 64;
     rreq_size = 48;
     rrep_size = 44;
     rerr_size = 32;
-    ip_overhead = 20;
   }
 
 type label = { sn : int; fd : int }
@@ -131,10 +117,7 @@ let forward_data t data ~size =
   match valid_route t data.Frame.final_dst with
   | None -> false
   | Some r ->
-      if
-        On_demand.hop t.ctx ~data_ttl:t.config.data_ttl
-          ~ip_overhead:t.config.ip_overhead ~next_hop:r.next_hop data ~size
-      then refresh t r;
+      if On_demand.hop t.ctx ~next_hop:r.next_hop data ~size then refresh t r;
       true
 
 let originate_rreq t ~dst ~ttl ~reset =
@@ -253,9 +236,8 @@ let handle_rreq t ~from rreq =
             rq_ttl = rreq.rq_ttl - 1;
           }
         in
-        On_demand.rebroadcast t.ctx ~span:span_timer
-          ~jitter:t.config.relay_jitter ~kind:"rreq" ~size:t.config.rreq_size
-          (Rreq relayed)
+        On_demand.rebroadcast t.ctx ~span:span_timer ~kind:"rreq"
+          ~size:t.config.rreq_size (Rreq relayed)
       end
     end
   end
@@ -315,7 +297,7 @@ let handle_rerr t ~from rerr =
   send_rerr t ~dsts:!propagate ~to_:Frame.Broadcast
 
 let handle_data t ~from data ~size =
-  if not (On_demand.relay t.core data ~size:(size - t.config.ip_overhead))
+  if not (On_demand.relay t.core data ~size:(size - On_demand.ip_overhead))
   then begin
     send_rerr t ~dsts:[ data.Frame.final_dst ] ~to_:(Frame.Unicast from);
     t.ctx.Routing_intf.drop_data data ~reason:"no route at relay"
@@ -334,7 +316,7 @@ let unicast_failed t ~frame ~dst:next_hop =
   | Frame.Data data ->
       lost := List.filter (fun d -> d <> data.Frame.final_dst) !lost;
       On_demand.park t.core data
-        ~size:(frame.Frame.size - t.config.ip_overhead)
+        ~size:(frame.Frame.size - On_demand.ip_overhead)
   | _ -> ());
   send_rerr t ~dsts:!lost ~to_:Frame.Broadcast
 
@@ -361,9 +343,7 @@ let gauges t =
   }
 
 let create_full ?(config = default_config) ctx =
-  On_demand.create ctx ~seen_ttl:30.0 ~pending_capacity:config.pending_capacity
-    ~pending_ttl:config.pending_ttl ~ttls:config.ttls
-    ~node_traversal:config.node_traversal
+  On_demand.create ctx ~seen_ttl:30.0 ~ttls:On_demand.ring
     (fun core ->
       {
         ctx;
@@ -381,7 +361,7 @@ let create_full ?(config = default_config) ctx =
         (fun t ~dst ~ttl ~attempt ->
           (* the final attempt demands a destination reset: the case where
              feasible distances cannot be put in order *)
-          let reset = attempt >= List.length config.ttls - 1 in
+          let reset = attempt >= List.length On_demand.ring - 1 in
           originate_rreq t ~dst ~ttl ~reset);
       give_up = (fun _ ~dst:_ -> ());
       receive;

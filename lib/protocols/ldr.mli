@@ -13,17 +13,10 @@
     than AODV's but are not identically zero like SRP's (Fig. 7). *)
 
 type config = {
-  ttls : int list;
-  node_traversal : float;
   route_lifetime : float;
-  pending_capacity : int;
-  pending_ttl : float;  (** buffered packets expire after this long, s *)
-  relay_jitter : float;
-  data_ttl : int;
   rreq_size : int;
   rrep_size : int;
   rerr_size : int;
-  ip_overhead : int;
 }
 
 val default_config : config

@@ -8,11 +8,9 @@ type config = {
   neighbor_hold : float;
   topology_hold : float;
   jitter : float;
-  data_ttl : int;
   hello_base_size : int;
   tc_base_size : int;
   per_entry_bytes : int;
-  ip_overhead : int;
 }
 
 let default_config =
@@ -22,11 +20,9 @@ let default_config =
     neighbor_hold = 6.0;
     topology_hold = 15.0;
     jitter = 0.25;
-    data_ttl = 64;
     hello_base_size = 16;
     tc_base_size = 16;
     per_entry_bytes = 4;
-    ip_overhead = 20;
   }
 
 type hello = { h_origin : int; h_links : (int * bool * bool) list }
@@ -259,8 +255,7 @@ let handle_tc t ~from tc =
         t.config.tc_base_size
         + (t.config.per_entry_bytes * List.length tc.t_advertised)
       in
-      On_demand.rebroadcast t.ctx ~span:span_timer ~jitter:0.01 ~kind:"tc" ~size
-        (Tc tc)
+      On_demand.rebroadcast t.ctx ~span:span_timer ~kind:"tc" ~size (Tc tc)
     end
   end
 
@@ -271,15 +266,13 @@ let forward_data t data ~size =
   match next_hop t ~dst:data.Frame.final_dst with
   | None -> false
   | Some next_hop ->
-      ignore
-        (On_demand.hop t.ctx ~data_ttl:t.config.data_ttl
-           ~ip_overhead:t.config.ip_overhead ~next_hop data ~size);
+      ignore (On_demand.hop t.ctx ~next_hop data ~size);
       true
 
 let handle_data t data ~size =
   if data.Frame.final_dst = t.ctx.Routing_intf.id then
     t.ctx.Routing_intf.deliver data
-  else if forward_data t data ~size:(size - t.config.ip_overhead) then ()
+  else if forward_data t data ~size:(size - On_demand.ip_overhead) then ()
   else t.ctx.Routing_intf.drop_data data ~reason:"no route (proactive)"
 
 let originate t data ~size =

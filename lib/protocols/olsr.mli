@@ -15,11 +15,9 @@ type config = {
   neighbor_hold : float;  (** neighbour validity (3 × hello) *)
   topology_hold : float;  (** topology-entry validity (3 × tc) *)
   jitter : float;  (** max random shortening of each period *)
-  data_ttl : int;
   hello_base_size : int;
   tc_base_size : int;
   per_entry_bytes : int;
-  ip_overhead : int;
 }
 
 val default_config : config

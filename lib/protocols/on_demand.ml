@@ -1,5 +1,19 @@
 module Frame = Wireless.Frame
 
+let ring = [ 1; 3; 7; 16 ]
+
+let node_traversal = 0.04
+
+let pending_capacity = 64
+
+let pending_ttl = 30.0
+
+let relay_jitter = 0.01
+
+let data_ttl = 64
+
+let ip_overhead = 20
+
 type t = {
   ctx : Routing_intf.ctx;
   seen : Seen_cache.t;
@@ -44,7 +58,7 @@ let resolve t ~dst =
   Discovery.succeed t.discovery ~dst;
   flush t ~dst
 
-let hop ctx ~data_ttl ~ip_overhead ~next_hop data ~size =
+let hop ctx ~next_hop data ~size =
   data.Frame.hops <- data.Frame.hops + 1;
   if data.Frame.hops > data_ttl then begin
     ctx.Routing_intf.drop_data data ~reason:"ttl exceeded";
@@ -65,8 +79,8 @@ let send_control ctx ~kind ~dst ~size payload =
        (Frame.make ~src:ctx.Routing_intf.id ~dst ~size ~payload)
        kind)
 
-let rebroadcast ctx ~span ~jitter ~kind ~size payload =
-  let delay = Des.Rng.float ctx.Routing_intf.rng jitter in
+let rebroadcast ctx ~span ~kind ~size payload =
+  let delay = Des.Rng.float ctx.Routing_intf.rng relay_jitter in
   ignore
     (Des.Engine.schedule ~span ctx.Routing_intf.engine ~delay (fun () ->
          send_control ctx ~kind ~dst:Frame.Broadcast ~size payload))
@@ -80,8 +94,7 @@ let agent ~originate ~receive ~unicast_failed ~gauges =
     gauges;
   }
 
-let create ctx ~seen_ttl ~pending_capacity ~pending_ttl ~ttls ~node_traversal
-    make (p : _ protocol) =
+let create ctx ~seen_ttl ~ttls make (p : _ protocol) =
   let engine = ctx.Routing_intf.engine in
   (* the one knot: the protocol state holds the core, while the core's
      discovery and flushes call back into that state *)

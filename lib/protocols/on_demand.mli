@@ -4,9 +4,27 @@
     originates, parks and flushes data packets, performs the data hop,
     builds control frames and the {!Routing_intf.agent} record. A protocol
     plugs in its route table through a {!protocol} record and keeps only
-    its RREQ/RREP/RERR handlers. *)
+    its RREQ/RREP/RERR handlers.
+
+    The core also owns the policy the paper's comparison holds equal across
+    protocols (§V): the expanding ring {!ring} with a node-traversal time
+    of 0.04 s per hop, a pending buffer of 64 packets per destination kept
+    at most 30 s, a relay jitter below 0.01 s on every rebroadcast,
+    {!ip_overhead} header bytes on every data payload, and a drop past
+    {!data_ttl} hops. A protocol's config record keeps only its own wire
+    sizes and timers. *)
 
 type t
+
+(** The expanding-ring TTL schedule [[1; 3; 7; 16]]. *)
+val ring : int list
+
+(** Hops a data packet may take; the next one drops it with
+    ["ttl exceeded"]. *)
+val data_ttl : int
+
+(** Bytes of IP header added to every data payload on the air. *)
+val ip_overhead : int
 
 (** What a protocol plugs into the core. Every function receives the
     protocol's own state. *)
@@ -26,18 +44,14 @@ type 'p protocol = {
       (** the core fills in [pending_packets] *)
 }
 
-(** [create ctx ... make p] builds the core, passes it to [make] for the
-    protocol state, and returns that state with the node's agent. The
-    duplicate cache keeps entries [seen_ttl] seconds; the pending buffer
-    holds [pending_capacity] packets per destination for at most
-    [pending_ttl] seconds; discovery walks [ttls] (see {!Discovery}). *)
+(** [create ctx ~seen_ttl ~ttls make p] builds the core, passes it to
+    [make] for the protocol state, and returns that state with the node's
+    agent. The duplicate cache keeps entries [seen_ttl] seconds; discovery
+    walks [ttls] (see {!Discovery}), {!ring} for all but DSR. *)
 val create :
   Routing_intf.ctx ->
   seen_ttl:float ->
-  pending_capacity:int ->
-  pending_ttl:float ->
   ttls:int list ->
-  node_traversal:float ->
   (t -> 'p) ->
   'p protocol ->
   'p * Routing_intf.agent
@@ -70,14 +84,12 @@ val flush : t -> dst:int -> unit
 
 (** {2 Frames} *)
 
-(** [hop ctx ~data_ttl ~ip_overhead ~next_hop data ~size] counts one more
-    hop and sends [data] to [next_hop] in a data frame of
-    [size + ip_overhead] bytes. Past [data_ttl] hops the packet is dropped
-    with ["ttl exceeded"] instead, and the result is [false]. *)
+(** [hop ctx ~next_hop data ~size] counts one more hop and sends [data] to
+    [next_hop] in a data frame of [size + ip_overhead] bytes. Past
+    {!data_ttl} hops the packet is dropped with ["ttl exceeded"] instead,
+    and the result is [false]. *)
 val hop :
   Routing_intf.ctx ->
-  data_ttl:int ->
-  ip_overhead:int ->
   next_hop:int ->
   Wireless.Frame.data ->
   size:int ->
@@ -93,13 +105,12 @@ val send_control :
   Wireless.Frame.payload ->
   unit
 
-(** [rebroadcast ctx ~span ~jitter ~kind ~size payload] relays a flooded
-    control frame after a delay drawn uniformly below [jitter], on an
+(** [rebroadcast ctx ~span ~kind ~size payload] relays a flooded control
+    frame after a delay drawn uniformly below the relay jitter, on an
     engine timer attributed to [span]. *)
 val rebroadcast :
   Routing_intf.ctx ->
   span:Obs.span ->
-  jitter:float ->
   kind:string ->
   size:int ->
   Wireless.Frame.payload ->

@@ -13,8 +13,6 @@ module New_order = Slr.New_order
 module Frame = Wireless.Frame
 
 type config = {
-  ttls : int list;
-  node_traversal : float;
   route_lifetime : float;
   delete_period : float;
   max_denom : int;
@@ -22,23 +20,16 @@ type config = {
   lie_k : int;
   labels : Label_set.id;
   probe_on_n : bool;
-  pending_capacity : int;
-  pending_ttl : float;
-  relay_jitter : float;
-  data_ttl : int;
   rack_timeout : float;
   rack_retries : int;
   rreq_size : int;
   rrep_size : int;
   rerr_size : int;
   rack_size : int;
-  ip_overhead : int;
 }
 
 let default_config =
   {
-    ttls = [ 1; 3; 7; 16 ];
-    node_traversal = 0.04;
     route_lifetime = 10.0;
     delete_period = 60.0;
     max_denom = 1_000_000_000;
@@ -46,17 +37,12 @@ let default_config =
     lie_k = 10_000;
     labels = Label_set.default;
     probe_on_n = false;
-    pending_capacity = 64;
-    pending_ttl = 30.0;
-    relay_jitter = 0.01;
-    data_ttl = 64;
     rack_timeout = 0.1;
     rack_retries = 2;
     rreq_size = 52;
     rrep_size = 44;
     rerr_size = 32;
     rack_size = 26;
-    ip_overhead = 20;
   }
 
 type rreq = {
@@ -268,10 +254,7 @@ let forward_data t data ~size =
   match best_successor t dst with
   | None -> false
   | Some next_hop ->
-      (if
-         On_demand.hop t.ctx ~data_ttl:t.config.data_ttl
-           ~ip_overhead:t.config.ip_overhead ~next_hop data ~size
-       then
+      (if On_demand.hop t.ctx ~next_hop data ~size then
          match Hashtbl.find_opt t.routes dst with
          | Some r -> (
              retain_label t r;
@@ -340,7 +323,7 @@ let send_probe t ~dst =
           rq_d = true;
           rq_n = false;
           rq_hops = 0;
-          rq_ttl = t.config.data_ttl;
+          rq_ttl = On_demand.data_ttl;
           rq_adv = rreq_advertisement t ~src:t.ctx.Routing_intf.id;
         }
       in
@@ -602,8 +585,8 @@ let handle_rreq t ~from rreq =
           rq_adv = adv;
         }
       in
-      On_demand.rebroadcast t.ctx ~span:span_timer ~jitter:t.config.relay_jitter
-        ~kind:"rreq" ~size:t.config.rreq_size (Rreq relayed)
+      On_demand.rebroadcast t.ctx ~span:span_timer ~kind:"rreq"
+        ~size:t.config.rreq_size (Rreq relayed)
     end
   end
 
@@ -722,7 +705,7 @@ let handle_rerr t ~from rerr =
 (* Agent wiring                                                        *)
 
 let handle_data t ~from data ~size =
-  if not (On_demand.relay t.core data ~size:(size - t.config.ip_overhead))
+  if not (On_demand.relay t.core data ~size:(size - On_demand.ip_overhead))
   then begin
     (* no successor: route error back to the previous hop, drop the data *)
     send_rerr t ~dsts:[ data.Frame.final_dst ] ~to_:(Frame.Unicast from);
@@ -734,7 +717,7 @@ let unicast_failed t ~frame ~dst:next_hop =
   report_lost_routes t lost;
   match frame.Frame.payload with
   | Frame.Data data ->
-      let size = frame.Frame.size - t.config.ip_overhead in
+      let size = frame.Frame.size - On_demand.ip_overhead in
       (* packet cache: hold the packet and look for a new path *)
       if not (forward_data t data ~size) then On_demand.park t.core data ~size
   | _ -> ()
@@ -778,9 +761,7 @@ let receive t ~src frame =
 
 let create_full ?(config = default_config) ctx =
   let labels = Label_set.instance config.labels in
-  On_demand.create ctx ~seen_ttl:config.delete_period
-    ~pending_capacity:config.pending_capacity ~pending_ttl:config.pending_ttl
-    ~ttls:config.ttls ~node_traversal:config.node_traversal
+  On_demand.create ctx ~seen_ttl:config.delete_period ~ttls:On_demand.ring
     (fun core ->
       {
         ctx;

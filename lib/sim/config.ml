@@ -20,16 +20,6 @@ let protocol_of_name s =
 
 let fig7_protocols = [ Srp; Ldr; Aodv ]
 
-type channel = Grid | Naive
-
-let channel_name = function Grid -> "grid" | Naive -> "naive"
-
-let channel_of_name s =
-  match String.lowercase_ascii s with
-  | "grid" -> Some Grid
-  | "naive" -> Some Naive
-  | _ -> None
-
 type t = {
   protocol : protocol;
   nodes : int;
@@ -46,7 +36,6 @@ type t = {
   packet_size : int;
   seed : int;
   faults : Faults.Spec.t;
-  channel : channel;
   mobility : Wireless.Mobility.id;
   traffic : Traffic.Model.id;
   srp : Protocols.Srp.config;
@@ -73,7 +62,6 @@ let paper =
     packet_size = 512;
     seed = 1;
     faults = Faults.Spec.none;
-    channel = Grid;
     mobility = Wireless.Mobility.default;
     traffic = Traffic.Model.default;
     srp = Protocols.Srp.default_config;
@@ -172,8 +160,6 @@ let to_json (t : t) =
     @ (if t.srp.Protocols.Srp.labels = Slr.Label_set.default then []
        else
          [ ("labels", J.String (Slr.Label_set.name t.srp.Protocols.Srp.labels)) ])
-    @ (if t.channel = Grid then []
-       else [ ("channel", J.String (channel_name t.channel)) ])
     @ (if t.mobility = Wireless.Mobility.default then []
        else [ ("mobility", J.String (Wireless.Mobility.name t.mobility)) ])
     @
@@ -192,8 +178,6 @@ let with_pause t pause = { t with pause }
 let with_seed t seed = { t with seed }
 
 let with_faults t faults = { t with faults }
-
-let with_channel t channel = { t with channel }
 
 let with_mobility t mobility = { t with mobility }
 

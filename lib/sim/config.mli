@@ -14,18 +14,6 @@ val protocol_of_name : string -> protocol option
 (** Protocols that expose a sequence number (Fig. 7). *)
 val fig7_protocols : protocol list
 
-(** Neighbour-sweep implementation the channel uses. {!Grid} (the default
-    in every preset) is the spatial-hash path; {!Naive} is the O(n²) full
-    scan retained as the property-tested oracle ([--channel naive]). The
-    two are observationally identical — same deliveries, same collisions,
-    same engine order — enforced by the [channel-grid-equiv] property. *)
-type channel = Grid | Naive
-
-val channel_name : channel -> string
-
-(** Inverse of {!channel_name}, case-insensitive. *)
-val channel_of_name : string -> channel option
-
 type t = {
   protocol : protocol;
   nodes : int;
@@ -45,9 +33,6 @@ type t = {
       (** fault-injection schedule; {!Faults.Spec.none} (the default in every
           preset) bypasses the whole subsystem so clean runs are bitwise
           identical to pre-fault builds *)
-  channel : channel;
-      (** neighbour-sweep path; {!Grid} in every preset, {!Naive} is the
-          escape hatch back to the oracle full scan *)
   mobility : Wireless.Mobility.id;
       (** mobility-model instance; the default ({!Wireless.Mobility.default},
           random waypoint) reproduces the historical runner byte-for-byte *)
@@ -107,8 +92,8 @@ val apply_scale : scale -> t -> t
 
 (** Scalar scenario parameters as a flat JSON object (protocol tuning
     records are omitted; [faults] reduces to whether a plan is present;
-    ["labels"], ["channel"], ["mobility"] and ["traffic"] members name the
-    respective pluggable instances and are emitted only when not the default, so
+    ["labels"], ["mobility"] and ["traffic"] members name the respective
+    pluggable instances and are emitted only when not the default, so
     default-configuration exports stay byte-identical across releases).
     Embedded in every [--json] export so a result file is self-describing. *)
 val to_json : t -> Trace.Json.t
@@ -127,8 +112,6 @@ val with_pause : t -> float -> t
 val with_seed : t -> int -> t
 
 val with_faults : t -> Faults.Spec.t -> t
-
-val with_channel : t -> channel -> t
 
 val with_mobility : t -> Wireless.Mobility.id -> t
 

@@ -39,15 +39,11 @@ let run_custom_detailed ?(on_faults = fun (_ : Faults.Injector.t) -> ())
   let channel =
     (* mobility legs never exceed speed_max, so the grid's candidate sets
        stay supersets of the exact in-range sets and the grid-backed scan
-       is observationally identical to the naive one; --channel naive is
-       the escape hatch back to the O(n^2) oracle sweep *)
+       is observationally identical to the naive one (channel-grid-equiv) *)
     let grid =
-      match config.channel with
-      | Config.Grid ->
-          Some { Wireless.Channel.max_speed = config.speed_max; epoch = 0.25 }
-      | Config.Naive -> None
+      { Wireless.Channel.max_speed = config.speed_max; epoch = 0.25 }
     in
-    Wireless.Channel.create ~trace ?grid engine ~nodes:config.nodes ~position
+    Wireless.Channel.create ~trace ~grid engine ~nodes:config.nodes ~position
       ~range:config.radio.Wireless.Radio.range
       ~cs_range:config.radio.Wireless.Radio.cs_range
   in

@@ -6,41 +6,43 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# every step below runs the executables this build leaves in _build
 dune build @all
 dune runtest
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 SIM=_build/default/bin/manet_sim.exe
-dune exec bin/manet_sim.exe -- check --nodes 50 --duration 60 --faults \
+BENCH=_build/default/bench/main.exe
+"$SIM" check --nodes 50 --duration 60 --faults \
   > "$tmp/check_faults.txt"
 cmp "$tmp/check_faults.txt" scripts/golden/check_faults.txt
 
 # one-oracle goldens: the periodic-sweep verifier and the three examples
 # (abstract SLR on the mediant label set, multipath insertion, a verified
 # SRP run) must reproduce their committed stdout byte for byte
-dune exec bin/manet_sim.exe -- check --nodes 30 --duration 60 \
+"$SIM" check --nodes 30 --duration 60 \
   > "$tmp/check_sweep.txt"
 cmp "$tmp/check_sweep.txt" scripts/golden/check_sweep.txt
 for example in quickstart multipath_insertion conference_room; do
-  dune exec "examples/$example.exe" > "$tmp/example_$example.txt"
+  "_build/default/examples/$example.exe" > "$tmp/example_$example.txt"
   cmp "$tmp/example_$example.txt" "scripts/golden/example_$example.txt"
 done
 
 # telemetry smoke: a traced run must emit parseable JSONL and a --json
 # result file with the documented keys, same-seed traces must agree byte
 # for byte, and tracing must leave stdout at its committed golden
-dune exec bin/manet_sim.exe -- run --nodes 30 --duration 30 \
+"$SIM" run --nodes 30 --duration 30 \
   --trace-file "$tmp/a.jsonl" --sample-every 5 --json "$tmp/run.json" \
   > "$tmp/out_a.txt" 2> /dev/null
-dune exec bin/manet_sim.exe -- run --nodes 30 --duration 30 \
+"$SIM" run --nodes 30 --duration 30 \
   --trace-file "$tmp/b.jsonl" --sample-every 5 \
   > "$tmp/out_b.txt" 2> /dev/null
 cmp "$tmp/a.jsonl" "$tmp/b.jsonl"
 cmp "$tmp/out_a.txt" "$tmp/out_b.txt"
 cmp "$tmp/out_a.txt" scripts/golden/run_default.txt
-dune exec bin/manet_sim.exe -- trace "$tmp/a.jsonl" --validate
-dune exec bin/manet_sim.exe -- trace "$tmp/run.json" --validate \
+"$SIM" trace "$tmp/a.jsonl" --validate
+"$SIM" trace "$tmp/run.json" --validate \
   --require schema --require config.protocol --require config.seed \
   --require result.delivery_ratio --require result.network_load \
   --require result.latency --require result.engine_events
@@ -50,24 +52,41 @@ dune exec bin/manet_sim.exe -- trace "$tmp/run.json" --validate \
 # spatial-grid/naive channel equivalence) on a fixed seed must pass with
 # zero violations and reproduce its committed report at -j 1 and -j 2,
 # and the catalogue listing must match its golden
-dune exec bin/manet_sim.exe -- fuzz --list > "$tmp/fuzz_list.txt"
+"$SIM" fuzz --list > "$tmp/fuzz_list.txt"
 cmp "$tmp/fuzz_list.txt" scripts/golden/fuzz_list.txt
 for jobs in 1 2; do
-  dune exec bin/manet_sim.exe -- fuzz --max-cases 200 --seed 7 -j "$jobs" \
+  "$SIM" fuzz --max-cases 200 --seed 7 -j "$jobs" \
     > "$tmp/fuzz_seed7.txt"
   cmp "$tmp/fuzz_seed7.txt" scripts/golden/fuzz_seed7.txt
 done
 
 # parallel-determinism smoke: the same seeded campaign on 2 worker domains
 # must produce byte-identical stdout and JSON to the sequential run
-dune exec bin/manet_sim.exe -- campaign --nodes 20 --duration 10 \
+"$SIM" campaign --nodes 20 --duration 10 \
   --trials 1 --flows 3 --quiet -j 1 --json "$tmp/campaign_j1.json" \
   > "$tmp/campaign_j1.txt" 2> /dev/null
-dune exec bin/manet_sim.exe -- campaign --nodes 20 --duration 10 \
+"$SIM" campaign --nodes 20 --duration 10 \
   --trials 1 --flows 3 --quiet -j 2 --json "$tmp/campaign_j2.json" \
   > "$tmp/campaign_j2.txt" 2> /dev/null
 cmp "$tmp/campaign_j1.json" "$tmp/campaign_j2.json"
 cmp "$tmp/campaign_j1.txt" "$tmp/campaign_j2.txt"
+
+# loaded-world determinism: the committed campaign goldens stop at 10 s,
+# before traffic starts at 15 s, so the on-demand protocols deliver nothing
+# in them. A 30 s campaign carries traffic: it must be byte-identical at
+# -j 1 and -j 2, and SRP's Table I delivery ratio must be above zero.
+for jobs in 1 2; do
+  "$SIM" campaign --nodes 20 --duration 30 --trials 1 --flows 3 --quiet \
+    -j "$jobs" --json "$tmp/traffic_j$jobs.json" > "$tmp/traffic_j$jobs.txt" \
+    2> /dev/null
+done
+cmp "$tmp/traffic_j1.json" "$tmp/traffic_j2.json"
+cmp "$tmp/traffic_j1.txt" "$tmp/traffic_j2.txt"
+srp_delivery="$(awk '$1 == "SRP" { print $2; exit }' "$tmp/traffic_j1.txt")"
+if ! awk -v d="$srp_delivery" 'BEGIN { exit !(d > 0) }'; then
+  echo "check.sh: SRP delivered nothing in a loaded campaign" >&2
+  exit 1
+fi
 
 # label-set smoke: the default (mediant) campaign must stay byte-identical
 # to the committed pre-refactor golden at -j 1 and -j 4 — the LABEL
@@ -75,20 +94,20 @@ cmp "$tmp/campaign_j1.txt" "$tmp/campaign_j2.txt"
 # instance must complete the same campaign and tag its JSON
 cmp "$tmp/campaign_j1.json" scripts/golden/campaign_default.json
 cmp "$tmp/campaign_j1.txt" scripts/golden/campaign_default.txt
-dune exec bin/manet_sim.exe -- campaign --nodes 20 --duration 10 \
+"$SIM" campaign --nodes 20 --duration 10 \
   --trials 1 --flows 3 --quiet -j 4 --json "$tmp/campaign_j4.json" \
   > "$tmp/campaign_j4.txt" 2> /dev/null
 cmp "$tmp/campaign_j4.json" scripts/golden/campaign_default.json
 cmp "$tmp/campaign_j4.txt" scripts/golden/campaign_default.txt
 for set in farey bigfrac lex; do
-  dune exec bin/manet_sim.exe -- campaign --nodes 20 --duration 10 \
+  "$SIM" campaign --nodes 20 --duration 10 \
     --trials 1 --flows 3 --quiet -j 2 --labels "$set" \
     --json "$tmp/campaign_$set.json" > /dev/null 2> /dev/null
   grep -q "\"labels\":\"$set\"" "$tmp/campaign_$set.json"
 done
 # ... and the fixed-seed fuzz catalogue must hold with scenarios pinned to
 # a non-default instance (the identical Ordering-Criteria oracle applies)
-dune exec bin/manet_sim.exe -- fuzz --max-cases 25 --seed 7 --labels bigfrac \
+"$SIM" fuzz --max-cases 25 --seed 7 --labels bigfrac \
   > "$tmp/fuzz_bigfrac.txt"
 cmp "$tmp/fuzz_bigfrac.txt" scripts/golden/fuzz_bigfrac.txt
 
@@ -97,13 +116,13 @@ cmp "$tmp/fuzz_bigfrac.txt" scripts/golden/fuzz_bigfrac.txt
 # name must exit 2 with the registry listing, and every workload scenario
 # must complete a small campaign plus an SRP run under the online
 # loop-freedom monitor
-dune exec bin/manet_sim.exe -- campaign --scenario default --nodes 20 \
+"$SIM" campaign --scenario default --nodes 20 \
   --duration 10 --trials 1 --flows 3 --quiet \
   --json "$tmp/campaign_scenario.json" > "$tmp/campaign_scenario.txt" \
   2> /dev/null
 cmp "$tmp/campaign_scenario.json" scripts/golden/campaign_default.json
 cmp "$tmp/campaign_scenario.txt" scripts/golden/campaign_default.txt
-if dune exec bin/manet_sim.exe -- run --scenario no-such-scenario \
+if "$SIM" run --scenario no-such-scenario \
   > /dev/null 2> "$tmp/scenario_err.txt"; then
   echo "check.sh: unknown --scenario did not fail" >&2
   exit 1
@@ -111,23 +130,23 @@ fi
 grep -q "registered scenarios:" "$tmp/scenario_err.txt"
 for scenario in manhattan rpgm churn bursty convergecast flash-crowd \
   downtown hostile; do
-  dune exec bin/manet_sim.exe -- campaign --scenario "$scenario" --nodes 16 \
+  "$SIM" campaign --scenario "$scenario" --nodes 16 \
     --duration 18 --trials 1 --flows 2 --quiet \
     --json "$tmp/campaign_scenario.json" > /dev/null 2> /dev/null
   grep -q '"protocol"' "$tmp/campaign_scenario.json"
-  dune exec bin/manet_sim.exe -- check --scenario "$scenario" --nodes 20 \
+  "$SIM" check --scenario "$scenario" --nodes 20 \
     --duration 25 --flows 3 > /dev/null
 done
 # ... the fixed-seed fuzz catalogue must hold with simulation cells pinned
 # to a non-default scenario's mobility + traffic models
-dune exec bin/manet_sim.exe -- fuzz --max-cases 25 --seed 7 \
+"$SIM" fuzz --max-cases 25 --seed 7 \
   --scenario downtown > "$tmp/fuzz_downtown.txt"
 cmp "$tmp/fuzz_downtown.txt" scripts/golden/fuzz_downtown.txt
 
 # adversarial smoke: the van Glabbeek replay plus forged stale route reply
 # must catch AODV looping while SRP stays green under its reference model,
 # verdict for verdict as committed
-dune exec bin/manet_sim.exe -- campaign --scenario vg-forged-rrep \
+"$SIM" campaign --scenario vg-forged-rrep \
   > "$tmp/adversarial.txt" 2> /dev/null
 cmp "$tmp/adversarial.txt" scripts/golden/vg_forged_rrep.txt
 
@@ -154,15 +173,14 @@ rm -f "$tmp"/*_a.jsonl "$tmp"/*_b.jsonl
 # throughput regression gate: rerun the committed baseline's reduced
 # campaign (same flags as the BENCH_campaign.json snapshot) and fail when
 # perf.events_per_sec_per_job drops below 75% of the committed number
-dune exec bench/main.exe -- campaign --trials 1 --duration 20 --flows 6 \
+"$BENCH" campaign --trials 1 --duration 20 --flows 6 \
   --quiet -j 4 --out "$tmp/bench_fresh.json" \
   --check-regression BENCH_campaign.json > "$tmp/bench_out.txt" 2> /dev/null
 grep "regression gate" "$tmp/bench_out.txt"
 
 # kill-and-resume smoke: SIGTERM a journaled campaign mid-sweep, resume it
 # from the checkpoint, and demand stdout and JSON byte-identical to the
-# uninterrupted reference run above (the binary is invoked directly:
-# `dune exec` may not forward the signal)
+# uninterrupted reference run above
 "$SIM" campaign --nodes 20 --duration 10 --trials 1 --flows 3 --quiet \
   -j 2 --resume "$tmp/ckpt.jsonl" --json "$tmp/campaign_resumed.json" \
   > "$tmp/campaign_killed.txt" 2> /dev/null &
@@ -220,7 +238,7 @@ grep -q '"workers"' "$tmp/campaign_prof.json"
 
 # ... and bench --prof must extend the perf member with workers + gc while
 # keeping the gate-readable shape
-dune exec bench/main.exe -- campaign --trials 1 --duration 10 --flows 3 \
+"$BENCH" campaign --trials 1 --duration 10 --flows 3 \
   --quiet -j 2 --prof --out "$tmp/bench_prof.json" > /dev/null 2> /dev/null
 "$SIM" trace "$tmp/bench_prof.json" --validate --require perf_profile
 grep -q '"workers"' "$tmp/bench_prof.json"
@@ -238,7 +256,7 @@ grep -q "scale presets:" "$tmp/scale_err.txt"
 
 # usage errors: both front ends parse through one flag layer, so a
 # malformed number and an unknown preset exit 2 from each of them
-for cmd in "$SIM run" "$SIM campaign" _build/default/bench/main.exe; do
+for cmd in "$SIM run" "$SIM campaign" "$BENCH"; do
   for args in "--duration nan" "--scale 10k"; do
     status=0
     $cmd $args > /dev/null 2>&1 || status=$?
@@ -252,7 +270,7 @@ done
 # events/s regression gate: rerun the committed BENCH_scale.json sweep
 # (100/1k/5k presets, reduced horizons) and fail when any preset's
 # events_per_sec drops below 75% of its committed number
-dune exec bench/main.exe -- scale --quiet --out "$tmp/bench_scale_campaign.json" \
+"$BENCH" scale --quiet --out "$tmp/bench_scale_campaign.json" \
   --scale-out "$tmp/bench_scale.json" \
   --check-scale-regression BENCH_scale.json > "$tmp/scale_out.txt" 2> /dev/null
 grep "scale regression gate" "$tmp/scale_out.txt"

@@ -147,8 +147,6 @@ let test_scale_flag () =
   let base args = (ok args).Bench_cli.base in
   Alcotest.(check int) "no scale overlay by default" 100
     (base []).Sim.Config.nodes;
-  Alcotest.(check string) "grid is the default channel" "grid"
-    (Sim.Config.channel_name (base []).Sim.Config.channel);
   Alcotest.(check string) "default scale-out" "BENCH_scale.json"
     (ok []).Bench_cli.scale_out;
   List.iter
@@ -168,7 +166,7 @@ let test_scale_flag () =
   let opts =
     ok
       [ "campaign"; "--scale"; "1k"; "--scenario"; "downtown"; "--labels";
-        "farey"; "--channel"; "naive"; "--scale-out"; "fresh_scale.json";
+        "farey"; "--scale-out"; "fresh_scale.json";
         "--check-scale-regression"; "BENCH_scale.json" ]
   in
   let b = opts.Bench_cli.base in
@@ -177,15 +175,14 @@ let test_scale_flag () =
     (Wireless.Mobility.name b.Sim.Config.mobility);
   Alcotest.(check string) "labels survive composition" "farey"
     (Slr.Label_set.name b.Sim.Config.srp.Protocols.Srp.labels);
-  Alcotest.(check string) "naive oracle selectable" "naive"
-    (Sim.Config.channel_name b.Sim.Config.channel);
   Alcotest.(check string) "scale-out" "fresh_scale.json"
     opts.Bench_cli.scale_out;
   Alcotest.(check bool) "scale baseline" true
     (opts.Bench_cli.scale_baseline = Some "BENCH_scale.json");
-  let bad_channel = err [ "--channel"; "octree" ] in
-  Alcotest.(check bool) "channel error lists both" true
-    (contains bad_channel "grid" && contains bad_channel "naive")
+  (* the neighbour sweep is not a knob: the naive scan is reachable only
+     as the channel-grid-equiv oracle *)
+  Alcotest.(check bool) "no --channel flag" true
+    (contains (err [ "--channel"; "naive" ]) "--channel")
 
 let test_unknown_inputs () =
   Alcotest.(check bool) "names the flag" true

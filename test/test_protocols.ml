@@ -367,23 +367,27 @@ let test_srp_link_failure_recovery () =
    destination (Eq. 3), and keep every live successor strictly in order
    (Theorem 1 locally). *)
 
+let ( let* ) = Prop.( let* )
+
+let ( and* ) = Prop.( and* )
+
 let fuzz_frac_gen =
-  let open QCheck2.Gen in
+  let open Check.Gen in
   let* den = int_range 2 50 in
   let* num = int_range 0 den in
-  return
+  pure
     (if num >= den then F.one
      else if num = 0 then F.zero
      else F.make ~num ~den)
 
 let fuzz_ordering_gen =
-  let open QCheck2.Gen in
+  let open Check.Gen in
   let* sn = int_range 0 3 in
   let* f = fuzz_frac_gen in
-  return (O.make ~sn ~frac:f)
+  pure (O.make ~sn ~frac:f)
 
 let fuzz_msg_gen =
-  let open QCheck2.Gen in
+  let open Check.Gen in
   let node = int_range 0 7 in
   let rreq =
     let* src = node and* dst = node and* id = int_range 0 5 in
@@ -393,7 +397,7 @@ let fuzz_msg_gen =
     let* from = node in
     let* adv_order = fuzz_ordering_gen in
     let* with_adv = bool in
-    return
+    pure
       (`Rreq
         ( from,
           {
@@ -417,7 +421,7 @@ let fuzz_msg_gen =
     let* order = fuzz_ordering_gen in
     let* dist = int_range 0 4 in
     let* from = node and* nbit = bool in
-    return
+    pure
       (`Rrep
         ( from,
           {
@@ -433,21 +437,35 @@ let fuzz_msg_gen =
   let rerr =
     let* from = node in
     let* dsts = list_size (int_range 1 3) node in
-    return (`Rerr (from, { Srp.re_unreachable = dsts }))
+    pure (`Rerr (from, { Srp.re_unreachable = dsts }))
   in
   let data =
     let* from = node and* dst = node and* seq = int_range 0 100 in
-    return (`Data (from, dst, seq))
+    pure (`Data (from, dst, seq))
   in
   let fail =
     let* hop = node and* dst = node and* seq = int_range 0 100 in
-    return (`Fail (hop, dst, seq))
+    pure (`Fail (hop, dst, seq))
   in
   oneof [ rreq; rrep; rerr; data; fail ]
 
+let print_fuzz_msg = function
+  | `Rreq (from, r) ->
+      Printf.sprintf "rreq from %d (%d->%d #%d %s ttl %d)" from r.Srp.rq_src
+        r.Srp.rq_dst r.Srp.rq_id (O.to_string r.Srp.rq_order) r.Srp.rq_ttl
+  | `Rrep (from, r) ->
+      Printf.sprintf "rrep from %d (%d->%d #%d %s dist %d)" from r.Srp.rp_src
+        r.Srp.rp_dst r.Srp.rp_id (O.to_string r.Srp.rp_order) r.Srp.rp_dist
+  | `Rerr (from, r) ->
+      Printf.sprintf "rerr from %d %s" from
+        (Prop.pp_list string_of_int r.Srp.re_unreachable)
+  | `Data (from, dst, seq) -> Printf.sprintf "data from %d to %d #%d" from dst seq
+  | `Fail (hop, dst, seq) -> Printf.sprintf "fail via %d to %d #%d" hop dst seq
+
 let prop_srp_fuzz =
-  QCheck2.Test.make ~name:"SRP survives arbitrary control traffic" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 60) fuzz_msg_gen)
+  Prop.test ~count:200 "SRP survives arbitrary control traffic"
+    ~print:(Prop.pp_list print_fuzz_msg)
+    Check.Gen.(list_size (int_range 1 60) fuzz_msg_gen)
     (fun msgs ->
       let h = harness ~id:0 () in
       let t, agent = Srp.create_full h.ctx in
@@ -1088,8 +1106,7 @@ type stub = {
 }
 
 let stub_agent h =
-  OD.create h.ctx ~seen_ttl:30.0 ~pending_capacity:8 ~pending_ttl:30.0
-    ~ttls:[ 1 ] ~node_traversal:0.04
+  OD.create h.ctx ~seen_ttl:30.0 ~ttls:[ 1 ]
     (fun core -> { core; routes = Hashtbl.create 4; requests = 0 })
     {
       OD.forward =
@@ -1097,8 +1114,7 @@ let stub_agent h =
           match Hashtbl.find_opt s.routes data.Frame.final_dst with
           | None -> false
           | Some next_hop ->
-              ignore
-                (OD.hop h.ctx ~data_ttl:4 ~ip_overhead:20 ~next_hop data ~size);
+              ignore (OD.hop h.ctx ~next_hop data ~size);
               true);
       request = (fun s ~dst:_ ~ttl:_ ~attempt:_ -> s.requests <- s.requests + 1);
       give_up = (fun _ ~dst:_ -> ());
@@ -1143,8 +1159,8 @@ let test_on_demand_fates () =
       ( "over the hop limit: ttl exceeded",
         (fun _ s agent ->
           Hashtbl.replace s.routes 5 3;
-          originate agent ~hops:3 ~dst:5 1;
-          originate agent ~hops:4 ~dst:5 2),
+          originate agent ~hops:63 ~dst:5 1;
+          originate agent ~hops:64 ~dst:5 2),
         ([], [ (1, 3, 532) ], [ (2, "ttl exceeded") ], 0) );
     ]
   in
@@ -1168,6 +1184,98 @@ let test_on_demand_fates () =
       Alcotest.(check (list (pair int string))) (name ^ ": dropped") dropped
         (List.rev_map (fun (d, r) -> (d.Frame.seq, r)) !(h.dropped));
       Alcotest.(check int) (name ^ ": requests") requests s.requests)
+    cases
+
+(* The constants every protocol shares, at their boundary: a node with a
+   route to 5 via 3 sends a 512 B payload with hop count 63 in a frame of
+   512 + 20 B (plus DSR's source-route header of 4 B and 4 B per listed
+   hop), and drops one with hop count 64 with "ttl exceeded". *)
+let test_shared_wire_constants () =
+  let cases =
+    [
+      ( "AODV",
+        0,
+        fun h ->
+          let _, agent = Aodv.create_full h.ctx in
+          agent.RI.receive ~src:3
+            (Frame.make ~src:3 ~dst:(Frame.Unicast 0) ~size:40
+               ~payload:
+                 (Aodv.Rrep
+                    {
+                      rp_src = 0;
+                      rp_dst = 5;
+                      rp_dst_seqno = 1;
+                      rp_hops = 0;
+                      rp_lifetime = 10.0;
+                    }));
+          agent );
+      ( "LDR",
+        0,
+        fun h ->
+          let _, agent = Ldr.create_full h.ctx in
+          agent.RI.receive ~src:3
+            (Frame.make ~src:3 ~dst:(Frame.Unicast 0) ~size:44
+               ~payload:
+                 (Ldr.Rrep
+                    {
+                      rp_src = 0;
+                      rp_id = 1;
+                      rp_dst = 5;
+                      rp_label = { Ldr.sn = 1; fd = 0 };
+                      rp_dist = 0;
+                      rp_lifetime = 10.0;
+                    }));
+          agent );
+      ( "SRP",
+        0,
+        fun h ->
+          let _, agent = Srp.create_full h.ctx in
+          adopt_route h agent ~dst:5 ~via:3 ~order:(O.destination ~sn:1)
+            ~dist:0;
+          agent );
+      ( "DSR",
+        4 + (4 * 3),
+        fun h ->
+          let _, agent = Dsr.create_full h.ctx in
+          agent.RI.receive ~src:3
+            (Frame.make ~src:3 ~dst:(Frame.Unicast 0) ~size:40
+               ~payload:(Dsr.Rrep { rp_path = [ 0; 3; 5 ]; rp_back = [ 0 ] }));
+          agent );
+      ( "OLSR",
+        0,
+        fun h ->
+          let _, agent = Olsr.create_full h.ctx in
+          agent.RI.receive ~src:3
+            (hello ~origin:3 [ (0, true, false); (5, true, false) ]);
+          agent );
+    ]
+  in
+  List.iter
+    (fun (name, header, learn) ->
+      let h = harness () in
+      let agent = learn h in
+      ignore (take_sent h);
+      h.dropped := [];
+      let send ~hops seq =
+        let data = mk_data ~seq () in
+        data.Frame.hops <- hops;
+        agent.RI.originate data ~size:512
+      in
+      send ~hops:63 1;
+      send ~hops:64 2;
+      let data_frames =
+        List.filter_map
+          (fun f ->
+            if Frame.is_data f then Some (f.Frame.dst, f.Frame.size) else None)
+          (take_sent h)
+      in
+      Alcotest.(check bool) (name ^ ": one frame to 3") true
+        (List.map fst data_frames = [ Frame.Unicast 3 ]);
+      Alcotest.(check (list int)) (name ^ ": frame size")
+        [ 512 + 20 + header ] (List.map snd data_frames);
+      Alcotest.(check (list (pair int string))) (name ^ ": dropped")
+        [ (2, "ttl exceeded") ]
+        (List.rev_map (fun (d, r) -> (d.Frame.seq, r)) !(h.dropped)))
     cases
 
 let test_discovery_backoff () =
@@ -1226,7 +1334,7 @@ let () =
             test_srp_rerr_removes_successor;
           Alcotest.test_case "link failure recovery" `Quick
             test_srp_link_failure_recovery;
-          QCheck_alcotest.to_alcotest prop_srp_fuzz;
+          prop_srp_fuzz;
         ] );
       ( "aodv",
         [
@@ -1287,5 +1395,7 @@ let () =
             test_discovery_backoff;
           Alcotest.test_case "on-demand packet fates" `Quick
             test_on_demand_fates;
+          Alcotest.test_case "shared wire constants, per protocol" `Quick
+            test_shared_wire_constants;
         ] );
     ]

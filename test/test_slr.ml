@@ -11,6 +11,8 @@ let check_frac = Alcotest.testable F.pp F.equal
 
 let check_ordering = Alcotest.testable O.pp O.equal
 
+let ( let* ) = Prop.( let* )
+
 (* ------------------------------------------------------------------ *)
 (* Fraction *)
 
@@ -55,30 +57,37 @@ let test_fibonacci_bound () =
      to be 45 times" *)
   Alcotest.(check int) "45 worst-case splits" 45 (F.max_splits ())
 
-let frac_gen =
-  let open QCheck2.Gen in
-  let* den = int_range 2 100_000 in
-  let* num = int_range 1 (den - 1) in
-  return (F.make ~num ~den)
+let frac_upto max_den =
+  let* den = Check.Gen.int_range 2 max_den in
+  Check.Gen.map (fun num -> F.make ~num ~den) (Check.Gen.int_range 1 (den - 1))
+
+let frac_gen = frac_upto 100_000
+
+let frac_pair_gen = Check.Gen.pair frac_gen frac_gen
+
+let print_frac_pair (a, b) = F.to_string a ^ ", " ^ F.to_string b
+
+(* a property of the open interval between two distinct fractions; equal
+   draws hold vacuously *)
+let interval_prop ~count name law =
+  Prop.test ~count name ~print:print_frac_pair frac_pair_gen (fun (a, b) ->
+      let lo, hi = if F.(a < b) then (a, b) else (b, a) in
+      F.equal lo hi || law ~lo ~hi)
 
 let prop_mediant_between =
-  QCheck2.Test.make ~name:"mediant lies strictly between" ~count:500
-    QCheck2.Gen.(pair frac_gen frac_gen)
-    (fun (a, b) ->
-      let lo, hi = if F.(a < b) then (a, b) else (b, a) in
-      QCheck2.assume (not (F.equal lo hi));
+  interval_prop ~count:500 "mediant lies strictly between" (fun ~lo ~hi ->
       match F.mediant lo hi with
       | Some m -> F.(lo < m) && F.(m < hi)
       | None -> false)
 
 let prop_compare_antisym =
-  QCheck2.Test.make ~name:"compare is antisymmetric" ~count:500
-    QCheck2.Gen.(pair frac_gen frac_gen)
+  Prop.test ~count:500 "compare is antisymmetric" ~print:print_frac_pair
+    frac_pair_gen
     (fun (a, b) -> compare (F.compare a b) 0 = compare 0 (F.compare b a))
 
 let prop_compare_matches_floats =
-  QCheck2.Test.make ~name:"compare agrees with float division" ~count:500
-    QCheck2.Gen.(pair frac_gen frac_gen)
+  Prop.test ~count:500 "compare agrees with float division"
+    ~print:print_frac_pair frac_pair_gen
     (fun (a, b) ->
       let fa = F.to_float a and fb = F.to_float b in
       (* denominators <= 1e5 so doubles are exact enough *)
@@ -87,7 +96,7 @@ let prop_compare_matches_floats =
       else F.compare a b = 0)
 
 let prop_next_is_greater =
-  QCheck2.Test.make ~name:"next-element is strictly greater" ~count:500
+  Prop.test ~count:500 "next-element is strictly greater" ~print:F.to_string
     frac_gen (fun a ->
       match F.next a with Some n -> F.(a < n) | None -> F.is_one a)
 
@@ -110,26 +119,29 @@ let test_bignat_basics () =
   Alcotest.(check int) "compare" 1 (Slr.Bignat.compare a b);
   Alcotest.(check (option int)) "huge to_int" None (Slr.Bignat.to_int sq)
 
-let small_nat_gen = QCheck2.Gen.(map Slr.Bignat.of_int (int_range 0 1_000_000))
+let int_pair_gen hi = Check.Gen.(pair (int_range 0 hi) (int_range 0 hi))
+
+let print_int_pair (a, b) = Printf.sprintf "%d, %d" a b
 
 let prop_bignat_add_matches_int =
-  QCheck2.Test.make ~name:"bignat add matches int" ~count:300
-    QCheck2.Gen.(pair (int_range 0 1_000_000_000) (int_range 0 1_000_000_000))
+  Prop.test ~count:300 "bignat add matches int" ~print:print_int_pair
+    (int_pair_gen 1_000_000_000)
     (fun (a, b) ->
       Slr.Bignat.to_int
         (Slr.Bignat.add (Slr.Bignat.of_int a) (Slr.Bignat.of_int b))
       = Some (a + b))
 
 let prop_bignat_mul_matches_int =
-  QCheck2.Test.make ~name:"bignat mul matches int" ~count:300
-    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 1_000_000))
+  Prop.test ~count:300 "bignat mul matches int" ~print:print_int_pair
+    (int_pair_gen 1_000_000)
     (fun (a, b) ->
       Slr.Bignat.to_int
         (Slr.Bignat.mul (Slr.Bignat.of_int a) (Slr.Bignat.of_int b))
       = Some (a * b))
 
 let prop_bignat_string_roundtrip =
-  QCheck2.Test.make ~name:"bignat decimal roundtrip" ~count:200 small_nat_gen
+  Prop.test ~count:200 "bignat decimal roundtrip" ~print:Slr.Bignat.to_string
+    (Check.Gen.map Slr.Bignat.of_int (Check.Gen.int_range 0 1_000_000))
     (fun n ->
       Slr.Bignat.equal n (Slr.Bignat.of_string (Slr.Bignat.to_string n)))
 
@@ -189,30 +201,40 @@ let test_lexlabel_between_cases () =
   check_between (key "\xff") L.top;
   check_between (key "abc") (key "abd")
 
+(* the least label, or a key of up to 6 arbitrary bytes and a non-NUL
+   last byte *)
 let lexkey_gen =
-  QCheck2.Gen.(
-    let byte = map Char.chr (int_range 0 255) in
-    let last = map Char.chr (int_range 1 255) in
-    let* body = string_size ~gen:byte (int_range 0 6) in
-    let* tail = last in
-    oneof [ return L.least; return (L.of_string (body ^ String.make 1 tail)) ])
+  let open Check.Gen in
+  let byte lo = map Char.chr (int_range lo 255) in
+  let key =
+    map2
+      (fun body last -> L.of_string (String.of_seq (List.to_seq body) ^ last))
+      (list_size (int_range 0 6) (byte 0))
+      (map (String.make 1) (byte 1))
+  in
+  oneof [ pure L.least; key ]
+
+let print_lexkey k = Format.asprintf "%a" L.pp k
 
 let prop_lexlabel_between =
-  QCheck2.Test.make ~name:"lexlabel between lies strictly inside" ~count:1000
-    QCheck2.Gen.(pair lexkey_gen lexkey_gen)
+  Prop.test ~count:1000 "lexlabel between lies strictly inside"
+    ~print:(fun (a, b) -> print_lexkey a ^ ", " ^ print_lexkey b)
+    (Check.Gen.pair lexkey_gen lexkey_gen)
     (fun (a, b) ->
       let c = L.compare a b in
-      QCheck2.assume (c <> 0);
       let lo, hi = if c < 0 then (a, b) else (b, a) in
+      c = 0
+      ||
       match L.between ~lo ~hi with
       | Some m -> L.compare lo m < 0 && L.compare m hi < 0
       | None -> false)
 
 let prop_lexlabel_between_top =
-  QCheck2.Test.make ~name:"lexlabel between anything and top" ~count:500
+  Prop.test ~count:500 "lexlabel between anything and top" ~print:print_lexkey
     lexkey_gen
     (fun a ->
-      QCheck2.assume (L.compare a L.top < 0);
+      L.compare a L.top >= 0
+      ||
       match L.between ~lo:a ~hi:L.top with
       | Some m -> L.compare a m < 0 && L.compare m L.top < 0
       | None -> false)
@@ -276,21 +298,25 @@ let test_ordering_add () =
   | None -> Alcotest.fail "add overflowed unexpectedly"
 
 let ordering_gen =
-  let open QCheck2.Gen in
-  let* sn = int_range 0 5 in
-  let* f = frac_gen in
-  return (O.make ~sn ~frac:f)
+  Check.Gen.map2
+    (fun sn frac -> O.make ~sn ~frac)
+    (Check.Gen.int_range 0 5) frac_gen
+
+let ordering_triple_gen = Check.Gen.triple ordering_gen ordering_gen ordering_gen
+
+let print_ordering_triple (a, b, c) =
+  String.concat ", " (List.map O.to_string [ a; b; c ])
 
 let prop_precedes_transitive =
-  QCheck2.Test.make ~name:"OC relation is transitive" ~count:500
-    QCheck2.Gen.(triple ordering_gen ordering_gen ordering_gen)
+  Prop.test ~count:500 "OC relation is transitive"
+    ~print:print_ordering_triple ordering_triple_gen
     (fun (a, b, c) ->
-      QCheck2.assume (O.precedes a b && O.precedes b c);
-      O.precedes a c)
+      (not (O.precedes a b && O.precedes b c)) || O.precedes a c)
 
 let prop_precedes_asymmetric =
-  QCheck2.Test.make ~name:"OC relation is asymmetric" ~count:500
-    QCheck2.Gen.(pair ordering_gen ordering_gen)
+  Prop.test ~count:500 "OC relation is asymmetric"
+    ~print:(fun (a, b) -> O.to_string a ^ ", " ^ O.to_string b)
+    (Check.Gen.pair ordering_gen ordering_gen)
     (fun (a, b) -> not (O.precedes a b && O.precedes b a))
 
 (* ------------------------------------------------------------------ *)
@@ -465,8 +491,8 @@ let test_filter_successors () =
    reordered packets that violate Lemma 1's protocol invariants — a finite
    result maintains Eqs. 3-5. *)
 let prop_neworder_unconditional =
-  QCheck2.Test.make ~name:"NEWORDER is safe on arbitrary inputs" ~count:3000
-    QCheck2.Gen.(triple ordering_gen ordering_gen ordering_gen)
+  Prop.test ~count:3000 "NEWORDER is safe on arbitrary inputs"
+    ~print:print_ordering_triple ordering_triple_gen
     (fun (current, cached, adv) ->
       let r = compute ~current ~cached ~adv in
       (not (O.is_finite r.NO.order))
@@ -476,11 +502,11 @@ let prop_neworder_unconditional =
    advertisement is feasible for the node and for the cached solicitation),
    a finite result maintains Eqs. 3-5. *)
 let prop_neworder_maintains_order =
-  QCheck2.Test.make ~name:"NEWORDER maintains order (Theorem 6)" ~count:2000
-    QCheck2.Gen.(triple ordering_gen ordering_gen ordering_gen)
+  Prop.test ~count:2000 "NEWORDER maintains order (Theorem 6)"
+    ~print:print_ordering_triple ordering_triple_gen
     (fun (current, cached, adv) ->
-      QCheck2.assume (NO.feasible ~current ~adv);
-      QCheck2.assume (O.precedes cached adv);
+      (not (NO.feasible ~current ~adv && O.precedes cached adv))
+      ||
       let r = compute ~current ~cached ~adv in
       if not (O.is_finite r.NO.order) then true
       else
@@ -508,26 +534,18 @@ let test_farey_simplest () =
     (simplest (frac 3 10) (frac 1 3))
 
 let prop_farey_inside =
-  QCheck2.Test.make ~name:"Farey result strictly inside" ~count:500
-    QCheck2.Gen.(pair frac_gen frac_gen)
-    (fun (a, b) ->
-      let lo, hi = if F.(a < b) then (a, b) else (b, a) in
-      QCheck2.assume (not (F.equal lo hi));
+  interval_prop ~count:500 "Farey result strictly inside" (fun ~lo ~hi ->
       match Slr.Farey.simplest_between ~lo ~hi with
       | Some s -> F.(lo < s) && F.(s < hi)
       | None -> false)
 
 let prop_farey_minimal =
-  QCheck2.Test.make ~name:"Farey denominator is minimal" ~count:200
-    QCheck2.Gen.(
-      let* den = int_range 2 60 in
-      let* num = int_range 1 (den - 1) in
-      let* den2 = int_range 2 60 in
-      let* num2 = int_range 1 (den2 - 1) in
-      return (F.make ~num ~den, F.make ~num:num2 ~den:den2))
+  Prop.test ~count:200 "Farey denominator is minimal" ~print:print_frac_pair
+    (Check.Gen.pair (frac_upto 60) (frac_upto 60))
     (fun (a, b) ->
       let lo, hi = if F.(a < b) then (a, b) else (b, a) in
-      QCheck2.assume (not (F.equal lo hi));
+      F.equal lo hi
+      ||
       match Slr.Farey.simplest_between ~lo ~hi with
       | None -> false
       | Some s ->
@@ -540,12 +558,8 @@ let prop_farey_minimal =
           not (smaller 1))
 
 let prop_farey_never_wider_than_mediant =
-  QCheck2.Test.make ~name:"Farey denominator <= mediant denominator"
-    ~count:500
-    QCheck2.Gen.(pair frac_gen frac_gen)
-    (fun (a, b) ->
-      let lo, hi = if F.(a < b) then (a, b) else (b, a) in
-      QCheck2.assume (not (F.equal lo hi));
+  interval_prop ~count:500 "Farey denominator <= mediant denominator"
+    (fun ~lo ~hi ->
       match (Slr.Farey.simplest_between ~lo ~hi, F.mediant lo hi) with
       | Some s, Some m -> s.F.den <= m.F.den
       | Some _, None -> true
@@ -652,25 +666,31 @@ let test_simple_net_break_and_repair () =
 (* Theorem 3 on the abstract machine: arbitrary graphs and random
    request/break schedules never violate topological order or create a
    cycle. *)
+let print_schedule (nodes, edges, ops) =
+  Printf.sprintf "%d nodes, links %s, ops %s" nodes
+    (Prop.pp_list (fun (a, b) -> Printf.sprintf "%d-%d" a b) edges)
+    (Prop.pp_list
+       (function
+         | `Request s -> Printf.sprintf "request %d" s
+         | `Break (a, b) -> Printf.sprintf "break %d-%d" a b)
+       ops)
+
 let prop_simple_net_loop_free =
-  QCheck2.Test.make ~name:"abstract SLR is loop-free under random schedules"
-    ~count:100
-    QCheck2.Gen.(
-      let* nodes = int_range 4 12 in
-      let* edges =
-        list_size (int_range nodes (3 * nodes))
-          (pair (int_range 0 (nodes - 1)) (int_range 0 (nodes - 1)))
-      in
-      let* ops =
-        list_size (int_range 5 40)
-          (oneof
-             [
-               map (fun s -> `Request s) (int_range 0 (nodes - 1));
-               map (fun (a, b) -> `Break (a, b))
-                 (pair (int_range 0 (nodes - 1)) (int_range 0 (nodes - 1)));
-             ])
-      in
-      return (nodes, edges, ops))
+  Prop.test ~count:100 "abstract SLR is loop-free under random schedules"
+    ~print:print_schedule
+    (let open Check.Gen in
+     let* nodes = int_range 4 12 in
+     let node = int_range 0 (nodes - 1) in
+     let* edges = list_size (int_range nodes (3 * nodes)) (pair node node) in
+     let ops =
+       list_size (int_range 5 40)
+         (oneof
+            [
+              map (fun s -> `Request s) node;
+              map (fun (a, b) -> `Break (a, b)) (pair node node);
+            ])
+     in
+     map (fun ops -> (nodes, edges, ops)) ops)
     (fun (nodes, edges, ops) ->
       let net = Net.create ~nodes ~dest:0 in
       List.iter (fun (a, b) -> if a <> b then Net.add_link net a b) edges;
@@ -686,12 +706,14 @@ let prop_simple_net_loop_free =
 module UNet = Slr.Simple_net.Make (Slr.Label.Bigfrac_set)
 
 let prop_unbounded_net_loop_free =
-  QCheck2.Test.make ~name:"unbounded SLR is loop-free under random schedules"
-    ~count:50
-    QCheck2.Gen.(
-      let* nodes = int_range 4 10 in
-      let* requests = list_size (int_range 5 30) (int_range 0 (nodes - 1)) in
-      return (nodes, requests))
+  Prop.test ~count:50 "unbounded SLR is loop-free under random schedules"
+    ~print:(fun (nodes, requests) ->
+      Printf.sprintf "%d nodes, requests %s" nodes
+        (Prop.pp_list string_of_int requests))
+    (let* nodes = Check.Gen.int_range 4 10 in
+     Check.Gen.map
+       (fun requests -> (nodes, requests))
+       Check.Gen.(list_size (int_range 5 30) (int_range 0 (nodes - 1))))
     (fun (nodes, requests) ->
       let net = UNet.create ~nodes ~dest:0 in
       (* ring plus chords *)
@@ -726,8 +748,6 @@ let test_dag () =
   Alcotest.(check bool) "does not reach" false
     (Slr.Dag.reaches ~successors ~src:0 ~dst:3 4)
 
-let qtest = QCheck_alcotest.to_alcotest
-
 let () =
   Alcotest.run "slr"
     [
@@ -737,18 +757,18 @@ let () =
           Alcotest.test_case "order" `Quick test_fraction_order;
           Alcotest.test_case "mediant and next" `Quick test_fraction_mediant;
           Alcotest.test_case "Fibonacci 45-split bound" `Quick test_fibonacci_bound;
-          qtest prop_mediant_between;
-          qtest prop_compare_antisym;
-          qtest prop_compare_matches_floats;
-          qtest prop_next_is_greater;
+          prop_mediant_between;
+          prop_compare_antisym;
+          prop_compare_matches_floats;
+          prop_next_is_greater;
         ] );
       ( "bignat",
         [
           Alcotest.test_case "basics" `Quick test_bignat_basics;
           Alcotest.test_case "bigfrac density" `Quick test_bigfrac_dense;
-          qtest prop_bignat_add_matches_int;
-          qtest prop_bignat_mul_matches_int;
-          qtest prop_bignat_string_roundtrip;
+          prop_bignat_add_matches_int;
+          prop_bignat_mul_matches_int;
+          prop_bignat_string_roundtrip;
         ] );
       ( "lexlabel",
         [
@@ -756,16 +776,16 @@ let () =
           Alcotest.test_case "next" `Quick test_lexlabel_next;
           Alcotest.test_case "between cases" `Quick test_lexlabel_between_cases;
           Alcotest.test_case "abstract SLR on strings" `Quick test_lexlabel_network;
-          qtest prop_lexlabel_between;
-          qtest prop_lexlabel_between_top;
+          prop_lexlabel_between;
+          prop_lexlabel_between_top;
         ] );
       ( "ordering",
         [
           Alcotest.test_case "criteria (Def. 5)" `Quick test_ordering_criteria;
           Alcotest.test_case "min" `Quick test_ordering_min;
           Alcotest.test_case "addition (Def. 6)" `Quick test_ordering_add;
-          qtest prop_precedes_transitive;
-          qtest prop_precedes_asymmetric;
+          prop_precedes_transitive;
+          prop_precedes_asymmetric;
         ] );
       ( "oracle",
         [
@@ -787,15 +807,15 @@ let () =
           Alcotest.test_case "degenerate interval" `Quick
             test_neworder_degenerate_interval;
           Alcotest.test_case "successor elimination" `Quick test_filter_successors;
-          qtest prop_neworder_maintains_order;
-          qtest prop_neworder_unconditional;
+          prop_neworder_maintains_order;
+          prop_neworder_unconditional;
         ] );
       ( "farey",
         [
           Alcotest.test_case "simplest fractions" `Quick test_farey_simplest;
-          qtest prop_farey_inside;
-          qtest prop_farey_minimal;
-          qtest prop_farey_never_wider_than_mediant;
+          prop_farey_inside;
+          prop_farey_minimal;
+          prop_farey_never_wider_than_mediant;
         ] );
       ( "split-label",
         [ Alcotest.test_case "choose_label" `Quick test_choose_label ] );
@@ -805,8 +825,8 @@ let () =
           Alcotest.test_case "paper Example 2 (Fig. 2)" `Quick test_example2;
           Alcotest.test_case "partitioned request" `Quick test_simple_net_no_route;
           Alcotest.test_case "break and repair" `Quick test_simple_net_break_and_repair;
-          qtest prop_simple_net_loop_free;
-          qtest prop_unbounded_net_loop_free;
+          prop_simple_net_loop_free;
+          prop_unbounded_net_loop_free;
         ] );
       ( "dag",
         [

@@ -50,12 +50,17 @@ let test_overlap () =
   Alcotest.(check bool) "close distributions overlap" true (S.overlap a b);
   Alcotest.(check bool) "distant ones do not" false (S.overlap a c)
 
+let floats ~min_len ~max_len hi =
+  Check.Gen.(list_size (int_range min_len max_len) (float_range 0.0 hi))
+
+let pp_floats = Prop.pp_list (Printf.sprintf "%h")
+
 let prop_merge_equals_pooled =
-  QCheck2.Test.make ~name:"merge equals pooled observations" ~count:300
-    QCheck2.Gen.(
-      pair
-        (list_size (int_range 0 50) (float_bound_inclusive 100.0))
-        (list_size (int_range 0 50) (float_bound_inclusive 100.0)))
+  Prop.test ~count:300 "merge equals pooled observations"
+    ~print:(fun (xs, ys) -> pp_floats xs ^ " " ^ pp_floats ys)
+    (Check.Gen.pair
+       (floats ~min_len:0 ~max_len:50 100.0)
+       (floats ~min_len:0 ~max_len:50 100.0))
     (fun (xs, ys) ->
       let a = S.create () and b = S.create () and pooled = S.create () in
       add_all a xs;
@@ -68,14 +73,12 @@ let prop_merge_equals_pooled =
       && close (S.variance a) (S.variance pooled))
 
 let prop_mean_within_bounds =
-  QCheck2.Test.make ~name:"mean lies within [min, max]" ~count:300
-    QCheck2.Gen.(list_size (int_range 1 100) (float_bound_inclusive 1000.0))
+  Prop.test ~count:300 "mean lies within [min, max]" ~print:pp_floats
+    (floats ~min_len:1 ~max_len:100 1000.0)
     (fun xs ->
       let s = S.create () in
       add_all s xs;
       S.mean s >= S.min s -. 1e-9 && S.mean s <= S.max s +. 1e-9)
-
-let qtest = QCheck_alcotest.to_alcotest
 
 let () =
   Alcotest.run "stats"
@@ -87,7 +90,7 @@ let () =
           Alcotest.test_case "t table" `Quick test_t_table;
           Alcotest.test_case "ci95" `Quick test_ci95;
           Alcotest.test_case "overlap" `Quick test_overlap;
-          qtest prop_merge_equals_pooled;
-          qtest prop_mean_within_bounds;
+          prop_merge_equals_pooled;
+          prop_mean_within_bounds;
         ] );
     ]
