@@ -56,8 +56,9 @@ let term =
   and+ baseline =
     path_opt "check-regression"
       ~doc:
-        "Compare the fresh campaign's perf.events_per_sec_per_job against \
-         the one in $(docv); exit 3 below 75% of it."
+        "Compare the fresh campaign's perf.sim_seconds_per_sec_per_job \
+         (simulated seconds per wall second per job) against the one in \
+         $(docv); exit 3 below 75% of it, 2 when $(docv) lacks it."
   and+ compare_sequential =
     Arg.(
       value & flag
@@ -68,12 +69,13 @@ let term =
       ~doc:"Where the labels section writes its four-instance comparison."
   and+ scale_out =
     path "scale-out" "BENCH_scale.json"
-      ~doc:"Where the scale section writes its per-preset events/s sweep."
+      ~doc:"Where the scale section writes its per-preset throughput sweep."
   and+ scale_baseline =
     path_opt "check-scale-regression"
       ~doc:
-        "Compare every preset's fresh events_per_sec against the one in \
-         $(docv); exit 3 when any falls below 75% of it."
+        "Compare every preset's fresh sim_seconds_per_sec (simulated \
+         seconds per wall second) against the one in $(docv); exit 3 when \
+         any falls below 75% of it, 2 when a preset in $(docv) lacks it."
   in
   let config =
     if full then

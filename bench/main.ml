@@ -6,7 +6,8 @@
 
    The campaign behind table1/fig3..fig7 runs once and is shared, farmed
    over [-j N] domains, and its JSON twin gains a ["perf"] member (wall
-   time, engine events, events/s) used by the [--check-regression] gate. *)
+   time, simulated seconds per wall second, engine events, events/s) used
+   by the [--check-regression] gate. *)
 
 module J = Trace.Json
 
@@ -37,13 +38,14 @@ let render_sections opts ppf campaign =
       ("fig7", Sim.Report.fig7);
     ]
 
-(* The throughput record appended to the campaign JSON. Normalised
-   events/s/job is what the regression gate compares: it is stable across
-   differing [-j] settings on the same machine. Since the observability
-   layer the member also carries the per-worker-domain ledger (cells run,
-   busy wall time, GC deltas) so the bench trajectory localises where a
-   speedup — or a slowdown — comes from; the gate reads only
-   [events_per_sec_per_job] and so accepts both the old and new shapes. *)
+(* The throughput record appended to the campaign JSON. Simulated seconds
+   per wall second per job is what the regression gate compares: it is
+   stable across differing [-j] settings on the same machine, and unlike
+   events/s it does not move when the simulator does the same work in
+   fewer engine events. Engine events and events/s stay as recorded
+   figures. The member also carries the per-worker-domain ledger (cells
+   run, busy wall time, GC deltas) so the bench trajectory localises where
+   a speedup — or a slowdown — comes from. *)
 let worker_json (w : Obs.worker) =
   J.Obj
     [
@@ -59,12 +61,27 @@ let worker_json (w : Obs.worker) =
 
 let perf_member ~jobs ~wall ~sequential_wall ~workers campaign =
   let events = campaign.Sim.Experiment.engine_events in
-  let eps = if wall > 0.0 then float_of_int events /. wall else 0.0 in
+  let rate x = if wall > 0.0 then x /. wall else 0.0 in
+  let eps = rate (float_of_int events) in
+  (* quarantined cells simulate nothing that counts *)
+  let runs =
+    (List.length campaign.Sim.Experiment.protocols
+    * List.length campaign.Sim.Experiment.pauses
+    * campaign.Sim.Experiment.trials)
+    - List.length campaign.Sim.Experiment.failures
+  in
+  let sim_seconds =
+    float_of_int runs *. campaign.Sim.Experiment.base.Sim.Config.duration
+  in
   let sum f = List.fold_left (fun acc w -> acc + f w) 0 workers in
   J.Obj
     ([
        ("jobs", J.Int jobs);
        ("wall_seconds", J.Float wall);
+       ("sim_seconds", J.Float sim_seconds);
+       ("sim_seconds_per_sec", J.Float (rate sim_seconds));
+       ( "sim_seconds_per_sec_per_job",
+         J.Float (rate sim_seconds /. float_of_int jobs) );
        ("engine_events", J.Int events);
        ("events_per_sec", J.Float eps);
        ("events_per_sec_per_job", J.Float (eps /. float_of_int jobs));
@@ -146,55 +163,57 @@ let run_campaign opts =
     sequential_wall;
   Option.get json
 
-(* A gate's baseline is read before anything runs: --out and --scale-out
-   may name the baseline file itself, and the gate must compare against
-   the committed figures, not the bytes the run is about to write. *)
-let read_baseline ~gate path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | contents -> (path, contents)
-  | exception Sys_error e ->
-      Format.eprintf "%s: %s@." gate e;
-      exit 2
-
 let number = function
   | Some (J.Float x) -> Some x
   | Some (J.Int n) -> Some (float_of_int n)
   | _ -> None
 
+(* The gated rates of a campaign or scale JSON: simulated seconds per wall
+   second, which no change to the engine's event count can move. [None]
+   when the JSON lacks one, as a baseline written before the rate existed
+   does. *)
 let campaign_rate json =
-  Option.to_list
-    (Option.map
-       (fun x -> ("campaign", x))
-       (number (J.path "perf.events_per_sec_per_job" json)))
+  Option.map
+    (fun x -> [ ("campaign", x) ])
+    (number (J.path "perf.sim_seconds_per_sec_per_job" json))
 
 let scale_rates json =
   match J.member "scales" json with
-  | Some (J.List presets) ->
-      List.filter_map
-        (fun p ->
-          match (J.member "scale" p, number (J.member "events_per_sec" p)) with
-          | Some (J.String name), Some eps -> Some (name, eps)
+  | Some (J.List (_ :: _ as presets)) ->
+      List.fold_right
+        (fun p acc ->
+          match
+            (acc, J.member "scale" p, number (J.member "sim_seconds_per_sec" p))
+          with
+          | Some acc, Some (J.String name), Some rate -> Some ((name, rate) :: acc)
           | _ -> None)
-        presets
-  | _ -> []
+        presets (Some [])
+  | _ -> None
 
-(* Every rate the baseline names must hold 75% of its committed figure in
-   the fresh run — a kilonode-only slowdown must not hide behind a healthy
-   100-node one. Exit 3 below the floor, 2 when the baseline is unusable. *)
-let regression_gate ~gate ~unit ~rates (path, contents) fresh =
+(* A gate's baseline is read and checked before anything runs: --out and
+   --scale-out may name the baseline file itself, and the gate must compare
+   against the committed figures, not the bytes the run is about to write.
+   An unreadable baseline, or one without the gated rate, exits 2. *)
+let read_baseline ~gate ~rates path =
   let fail msg =
     Format.eprintf "%s: %s@." gate msg;
     exit 2
   in
-  let base_rates =
-    match J.parse contents with
-    | Error e -> fail (path ^ ": " ^ e)
-    | Ok baseline -> (
-        match rates baseline with
-        | [] -> fail (path ^ ": no baseline figures")
-        | r -> r)
-  in
-  let fresh_rates = rates fresh in
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error e -> fail e
+  | contents -> (
+      match J.parse contents with
+      | Error e -> fail (path ^ ": " ^ e)
+      | Ok baseline -> (
+          match rates baseline with
+          | None -> fail (path ^ ": no simulated-seconds-per-wall-second figures")
+          | Some r -> r))
+
+(* Every rate the baseline names must hold 75% of its committed figure in
+   the fresh run — a kilonode-only slowdown must not hide behind a healthy
+   100-node one. Exit 3 below the floor. *)
+let regression_gate ~gate ~unit ~rates base_rates fresh =
+  let fresh_rates = Option.value (rates fresh) ~default:[] in
   let failed =
     List.filter_map
       (fun (name, base) ->
@@ -202,7 +221,7 @@ let regression_gate ~gate ~unit ~rates (path, contents) fresh =
           Option.value (List.assoc_opt name fresh_rates) ~default:0.0
         in
         let floor = 0.75 *. base in
-        Format.printf "%s: %s fresh %.0f %s vs baseline %.0f (floor %.0f)@."
+        Format.printf "%s: %s fresh %.4g %s vs baseline %.4g (floor %.4g)@."
           gate name fresh unit base floor;
         if fresh < floor then Some (name, base, fresh) else None)
       base_rates
@@ -211,8 +230,8 @@ let regression_gate ~gate ~unit ~rates (path, contents) fresh =
   | [] -> ()
   | (name, base, fresh) :: _ ->
       Format.eprintf
-        "%s FAILED: %s at %.0f %s is below 75%% of the committed baseline \
-         %.0f@."
+        "%s FAILED: %s at %.4g %s is below 75%% of the committed baseline \
+         %.4g@."
         gate name fresh unit base;
       exit 3
 
@@ -284,12 +303,13 @@ let micro_channel () =
     Array.init nodes (fun _ -> Wireless.Terrain.random_point Wireless.Terrain.paper rng)
   in
   let position i _time = points.(i) in
+  let scripts = Array.map Wireless.Waypoint.stationary points in
   let range = Wireless.Radio.default.Wireless.Radio.range in
   let cs_range = Wireless.Radio.default.Wireless.Radio.cs_range in
   let make_channel grid =
     let engine = Des.Engine.create () in
     let ch =
-      Wireless.Channel.create ?grid engine ~nodes ~position ~range ~cs_range
+      Wireless.Channel.create ?grid engine ~scripts ~range ~cs_range
     in
     (engine, ch)
   in
@@ -501,14 +521,14 @@ let labels_showdown opts =
   Format.printf "label-set comparison written to %s@." opts.Bench_cli.labels_out
 
 (* ------------------------------------------------------------------ *)
-(* Scale sweep (E11): engine throughput at the paper's 100 nodes and the
-   1k/5k kilonode presets, one SRP run per preset at pause 0. Simulated
-   horizons shrink with the preset so the sweep stays a couple of minutes
-   of wall clock while every run still executes millions of events; the
-   horizon is part of the committed JSON, so the regression gate always
-   compares like with like. *)
+(* Scale sweep (E11): throughput at the paper's 100 nodes and the 1k/5k
+   kilonode presets, one SRP run per preset at pause 0. Simulated horizons
+   shrink with the preset so the sweep stays a couple of minutes of wall
+   clock; the horizon is part of the committed JSON, so the regression
+   gate, which reads simulated seconds per wall second, always compares
+   like with like. Engine events and events/s are recorded beside it. *)
 
-(* events/s at t < traffic_start would measure an idle hello mesh; pull
+(* throughput at t < traffic_start would measure an idle hello mesh; pull
    the flows in so even the shortest horizon is mostly loaded *)
 let scale_traffic_start = 5.0
 
@@ -519,7 +539,7 @@ let scale_duration (s : Sim.Config.scale) =
   | _ -> 8.0
 
 let scale_sweep opts =
-  Format.printf "@.=== scale sweep: events/s at %s nodes (E11) ===@."
+  Format.printf "@.=== scale sweep: throughput at %s nodes (E11) ===@."
     (String.concat "/" Sim.Config.scale_names);
   let run_preset (s : Sim.Config.scale) =
     let config =
@@ -545,12 +565,14 @@ let scale_sweep opts =
     let r = Sim.Runner.run config in
     let wall = Unix.gettimeofday () -. started in
     let events = r.Sim.Metrics.engine_events in
-    let eps = if wall > 0.0 then float_of_int events /. wall else 0.0 in
+    let rate x = if wall > 0.0 then x /. wall else 0.0 in
+    let eps = rate (float_of_int events) in
+    let sim_rate = rate config.Sim.Config.duration in
     Format.printf
-      "%-4s %5d nodes  %4d flows  %5.0f s sim  %8.1f s wall  %9d events  \
-       %8.0f events/s  delivery %5.3f@."
+      "%-4s %5d nodes  %4d flows  %5.0f s sim  %8.1f s wall  %7.3f sim-s/s  \
+       %9d events  %8.0f events/s  delivery %5.3f@."
       s.Sim.Config.scale_name config.Sim.Config.nodes config.Sim.Config.flows
-      config.Sim.Config.duration wall events eps
+      config.Sim.Config.duration wall sim_rate events eps
       r.Sim.Metrics.delivery_ratio;
     J.Obj
       [
@@ -563,6 +585,7 @@ let scale_sweep opts =
         ("traffic_start", J.Float config.Sim.Config.traffic_start);
         ("engine_events", J.Int events);
         ("wall_seconds", J.Float wall);
+        ("sim_seconds_per_sec", J.Float sim_rate);
         ("events_per_sec", J.Float eps);
         ("delivery_ratio", J.Float r.Sim.Metrics.delivery_ratio);
         ("network_load", J.Float r.Sim.Metrics.network_load);
@@ -580,17 +603,21 @@ let scale_sweep opts =
 let main opts =
   let campaign_gate = "regression gate" and scale_gate = "scale regression gate" in
   let campaign_baseline =
-    Option.map (read_baseline ~gate:campaign_gate) opts.Bench_cli.baseline
+    Option.map
+      (read_baseline ~gate:campaign_gate ~rates:campaign_rate)
+      opts.Bench_cli.baseline
   in
   let scale_baseline =
-    Option.map (read_baseline ~gate:scale_gate) opts.Bench_cli.scale_baseline
+    Option.map
+      (read_baseline ~gate:scale_gate ~rates:scale_rates)
+      opts.Bench_cli.scale_baseline
   in
   let t0 = Unix.gettimeofday () in
   if wants_campaign opts then begin
     let fresh = run_campaign opts in
     Option.iter
       (fun baseline ->
-        regression_gate ~gate:campaign_gate ~unit:"events/s/job"
+        regression_gate ~gate:campaign_gate ~unit:"sim-s/wall-s/job"
           ~rates:campaign_rate baseline fresh)
       campaign_baseline
   end;
@@ -607,7 +634,7 @@ let main opts =
     let fresh = scale_sweep opts in
     Option.iter
       (fun baseline ->
-        regression_gate ~gate:scale_gate ~unit:"events/s" ~rates:scale_rates
+        regression_gate ~gate:scale_gate ~unit:"sim-s/wall-s" ~rates:scale_rates
           baseline fresh)
       scale_baseline
   end;

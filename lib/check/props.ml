@@ -914,8 +914,7 @@ let channel_grid_law c =
   let run grid =
     let engine = Des.Engine.create () in
     let ch =
-      Wireless.Channel.create ?grid engine ~nodes:c.cnodes ~position ~range
-        ~cs_range
+      Wireless.Channel.create ?grid engine ~scripts ~range ~cs_range
     in
     let log = ref [] and horizons = ref [] in
     for i = 0 to c.cnodes - 1 do

@@ -1,4 +1,5 @@
 type reception = {
+  dst : int;  (** the receiving node *)
   mutable corrupted : bool;
   rx_end : float;
   dist : float;  (** sender-to-receiver distance at frame start *)
@@ -193,7 +194,7 @@ type 'a t = {
   engine : Des.Engine.t;
   trace : Trace.t;
   nodes : int;
-  position : int -> float -> Vec2.t;
+  scripts : Waypoint.t array;
   range : float;
   cs_range : float;
   capture_ratio : float;
@@ -206,8 +207,13 @@ type 'a t = {
      when the filter vetoes the (src, dst) pair at delivery time *)
   mutable filter : (src:int -> dst:int -> bool) option;
   tx_until : float array;
-  (* in-progress receptions per node, pruned lazily *)
-  rx_active : reception list array;
+  (* receptions in progress per node: [rx_on.(j)] holds [rx_count.(j)] of
+     them, oldest first. Scans walk them newest first, the order in which
+     corruptions reach the trace. A reception leaves at its frame's
+     end-of-airtime event; until that event runs, a scan at the same
+     instant skips it as over. *)
+  rx_on : reception array array;
+  rx_count : int array;
   (* the air entries a scan considers: on the naive channel every
      in-progress transmission (for carrier sense and the collision
      sweep); on the grid channel the live entries a query gathered from
@@ -220,24 +226,42 @@ type 'a t = {
   (* in-flight frames bucketed by cell, present iff [grid] is *)
   cells : Cells.t option;
   (* per-(node, time) position memo: one frame event looks the same nodes
-     up at the same instant many times, and Waypoint.position is a binary
-     search per call. Flat x/y arrays keep the floats unboxed and the
-     memo stores free of write barriers. *)
+     up at the same instant many times. Flat x/y arrays keep the floats
+     unboxed and the memo stores free of write barriers. *)
   pos_at : float array;
   pos_x : float array;
   pos_y : float array;
+  (* each node's leg cache, from Waypoint.piece: strictly between
+     [leg_depart] and [leg_until] the node moves from [leg_fx/fy] to
+     [leg_tx/ty], arriving at [leg_arrive], and then rests there. A memo
+     miss inside that window interpolates here; only a query that leaves
+     it goes back to the script. *)
+  leg_depart : float array;
+  leg_until : float array;
+  leg_arrive : float array;
+  leg_fx : float array;
+  leg_fy : float array;
+  leg_tx : float array;
+  leg_ty : float array;
+  (* the receptions one transmit schedules, in the order it meets them *)
+  mutable batch : reception array;
+  mutable batch_len : int;
   (* --prof span for the synchronous transmit sweep, named for the
      neighbour-scan strategy so profiles separate grid from naive *)
   span_transmit : Obs.span;
 }
 
-(* rx-end delivery events, distinct from the synchronous sweep above *)
+(* end-of-airtime delivery events, one per frame, distinct from the
+   synchronous sweep above *)
 let span_rx = Obs.span "event.channel.rx"
+
+let no_reception = { dst = -1; corrupted = false; rx_end = nan; dist = nan }
 
 (* cells half of cs_range wide: a carrier-sense query's row-clipped window
    covers about twice its disc in five rows *)
-let create ?(trace = Trace.null) ?grid engine ~nodes ~position ~range ~cs_range =
+let create ?(trace = Trace.null) ?grid engine ~scripts ~range ~cs_range =
   if cs_range < range then invalid_arg "Channel.create: cs_range < range";
+  let nodes = Array.length scripts in
   let cells =
     Option.map
       (fun { max_speed; _ } ->
@@ -247,14 +271,16 @@ let create ?(trace = Trace.null) ?grid engine ~nodes ~position ~range ~cs_range 
   let grid =
     Option.map
       (fun { max_speed; epoch } ->
-        Grid.create ~nodes ~position ~cell:(cs_range /. 2.0) ~max_speed ~epoch)
+        Grid.create ~nodes
+          ~position:(fun i time -> Waypoint.position scripts.(i) time)
+          ~cell:(cs_range /. 2.0) ~max_speed ~epoch)
       grid
   in
   {
     engine;
     trace;
     nodes;
-    position;
+    scripts;
     range;
     cs_range;
     (* ~10 dB capture threshold at path-loss exponent 2 *)
@@ -263,7 +289,8 @@ let create ?(trace = Trace.null) ?grid engine ~nodes ~position ~range ~cs_range 
     receivers = Array.make nodes None;
     filter = None;
     tx_until = Array.make nodes neg_infinity;
-    rx_active = Array.make nodes [];
+    rx_on = Array.make nodes [||];
+    rx_count = Array.make nodes 0;
     air = { src = Array.make 16 0; until = Array.make 16 neg_infinity; len = 0 };
     collision_count = 0;
     collision_at = Array.make nodes 0;
@@ -272,6 +299,15 @@ let create ?(trace = Trace.null) ?grid engine ~nodes ~position ~range ~cs_range 
     pos_at = Array.make (Stdlib.max nodes 1) nan;
     pos_x = Array.make (Stdlib.max nodes 1) 0.0;
     pos_y = Array.make (Stdlib.max nodes 1) 0.0;
+    leg_depart = Array.make nodes nan;
+    leg_until = Array.make nodes nan;
+    leg_arrive = Array.make nodes nan;
+    leg_fx = Array.make nodes 0.0;
+    leg_fy = Array.make nodes 0.0;
+    leg_tx = Array.make nodes 0.0;
+    leg_ty = Array.make nodes 0.0;
+    batch = Array.make 16 no_reception;
+    batch_len = 0;
     span_transmit =
       Obs.span
         (if Option.is_some grid then "channel.transmit.grid"
@@ -287,19 +323,56 @@ let deliverable t ~src ~dst =
 
 let now t = Des.Engine.now t.engine
 
-(* nan stamps never compare equal, so the first lookup always misses *)
+let pos_refills = Obs.counter "channel.pos.refills"
+
+(* a query outside node [i]'s cached leg: read the position off the script
+   and cache the leg in force at [time] *)
+let refill t i time =
+  if Obs.enabled () then Obs.incr pos_refills;
+  let script = t.scripts.(i) in
+  let p = Waypoint.position script time in
+  t.pos_x.(i) <- p.Vec2.x;
+  t.pos_y.(i) <- p.Vec2.y;
+  let leg, until = Waypoint.piece script time in
+  t.leg_depart.(i) <- leg.Waypoint.depart;
+  t.leg_until.(i) <- until;
+  t.leg_arrive.(i) <- leg.Waypoint.arrive;
+  t.leg_fx.(i) <- leg.Waypoint.from_p.Vec2.x;
+  t.leg_fy.(i) <- leg.Waypoint.from_p.Vec2.y;
+  t.leg_tx.(i) <- leg.Waypoint.to_p.Vec2.x;
+  t.leg_ty.(i) <- leg.Waypoint.to_p.Vec2.y
+
+(* nan stamps never compare equal, so the first lookup always misses, and
+   a nan leg window refills on it. Inside the window this is
+   Waypoint.position's own float expression (Vec2.lerp's), so the cache
+   agrees with the script bit for bit; the window is open at both ends,
+   so a query at an exact departure goes to the script. *)
 let refresh_pos t i time =
   if t.pos_at.(i) <> time then begin
-    let p = t.position i time in
     t.pos_at.(i) <- time;
-    t.pos_x.(i) <- p.Vec2.x;
-    t.pos_y.(i) <- p.Vec2.y
+    let depart = t.leg_depart.(i) in
+    if depart < time && time < t.leg_until.(i) then begin
+      let arrive = t.leg_arrive.(i) in
+      if time >= arrive then begin
+        t.pos_x.(i) <- t.leg_tx.(i);
+        t.pos_y.(i) <- t.leg_ty.(i)
+      end
+      else begin
+        let frac = (time -. depart) /. (arrive -. depart) in
+        let fx = t.leg_fx.(i) and fy = t.leg_fy.(i) in
+        t.pos_x.(i) <- fx +. (frac *. (t.leg_tx.(i) -. fx));
+        t.pos_y.(i) <- fy +. (frac *. (t.leg_ty.(i) -. fy))
+      end
+    end
+    else refill t i time
   end
 
 (* allocates a fresh pair; hot paths read pos_x/pos_y directly instead *)
 let pos t i time =
   refresh_pos t i time;
   Vec2.make ~x:t.pos_x.(i) ~y:t.pos_y.(i)
+
+let position t i = pos t i (now t)
 
 (* compact the naive channel's air in place, keeping entries through the
    guard window (busy_until needs them); entry order never affects
@@ -349,6 +422,8 @@ let in_range t a b = within t a b ~radius:t.range
 let cs_queries = Obs.counter "channel.cs.queries"
 let cs_scanned = Obs.counter "channel.cs.scanned"
 let rx_scanned = Obs.counter "channel.rx.scanned"
+let rx_receptions = Obs.counter "channel.rx.receptions"
+let tx_candidates = Obs.counter "channel.tx.candidates"
 
 let busy_until t i =
   air_near t i ~radius:t.cs_range;
@@ -416,12 +491,57 @@ let clash t j ~rx_a ~rx_b =
 let interfere t j rx ~interferer_dist =
   if rx.dist *. t.capture_ratio > interferer_dist then corrupt t j rx
 
-(* [List.filter] allocates a fresh list even when nothing is removed;
-   most sweeps find no expired reception, so test before rebuilding *)
-let prune_rx t j time =
-  let l = t.rx_active.(j) in
-  if List.exists (fun r -> r.rx_end <= time) l then
-    t.rx_active.(j) <- List.filter (fun r -> r.rx_end > time) l
+(* [a], or a copy twice as long, with room past its first [n] entries *)
+let room a n =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (Stdlib.max 4 (2 * n)) no_reception in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
+let rx_push t j rx =
+  let n = t.rx_count.(j) in
+  let a = room t.rx_on.(j) n in
+  t.rx_on.(j) <- a;
+  a.(n) <- rx;
+  t.rx_count.(j) <- n + 1
+
+(* drop [rx] from [j]'s receptions, keeping the others in order *)
+let rx_remove t j rx =
+  let a = t.rx_on.(j) and n = t.rx_count.(j) in
+  let i = ref 0 in
+  while !i < n && a.(!i) != rx do
+    incr i
+  done;
+  if !i < n then begin
+    Array.blit a (!i + 1) a !i (n - !i - 1);
+    a.(n - 1) <- no_reception;
+    t.rx_count.(j) <- n - 1
+  end
+
+let batch_push t rx =
+  t.batch <- room t.batch t.batch_len;
+  t.batch.(t.batch_len) <- rx;
+  t.batch_len <- t.batch_len + 1
+
+(* End of airtime for one frame: each reception in the order [transmit]
+   met its receiver. Running them in one event is exactly running one
+   event each: they were all scheduled in one [transmit] call for the same
+   instant, so their tie numbers were consecutive and nothing could run
+   between them, and an event a delivery schedules runs after the last of
+   them in both forms. *)
+let deliver_all t ~src pdu rxs () =
+  for k = 0 to Array.length rxs - 1 do
+    let rx = rxs.(k) in
+    let j = rx.dst in
+    rx_remove t j rx;
+    if
+      (not rx.corrupted) && (not (transmitting t j)) && deliverable t ~src ~dst:j
+    then begin
+      match t.receivers.(j) with Some deliver -> deliver ~src pdu | None -> ()
+    end
+  done
 
 let transmit_body t ~src ~duration pdu =
   let time = now t in
@@ -436,10 +556,15 @@ let transmit_body t ~src ~duration pdu =
    | Some c -> Cells.add c ~x:sx ~y:sy ~src ~until:tx_end ~airtime:duration);
   if tx_end > t.tx_until.(src) then t.tx_until.(src) <- tx_end;
   (* half duplex: starting a transmission ruins any reception in progress *)
-  prune_rx t src time;
-  List.iter (corrupt t src) t.rx_active.(src);
+  let own = t.rx_on.(src) in
+  for i = t.rx_count.(src) - 1 downto 0 do
+    if own.(i).rx_end > time then corrupt t src own.(i)
+  done;
   let a = t.air in
+  t.batch_len <- 0;
+  let candidates = ref 0 in
   let touch j =
+    incr candidates;
     if j <> src then begin
       refresh_pos t j time;
       let jx = t.pos_x.(j) and jy = t.pos_y.(j) in
@@ -450,11 +575,12 @@ let transmit_body t ~src ~duration pdu =
         if transmitting t j then ()
           (* a transmitting node hears nothing; the frame is simply lost *)
         else begin
-          let rx = { corrupted = false; rx_end = tx_end; dist = d } in
-          prune_rx t j time;
+          let rx = { dst = j; corrupted = false; rx_end = tx_end; dist = d } in
           (* overlap with receptions already in progress: capture decides *)
-          List.iter (fun other -> clash t j ~rx_a:rx ~rx_b:other)
-            t.rx_active.(j);
+          let on = t.rx_on.(j) in
+          for i = t.rx_count.(j) - 1 downto 0 do
+            if on.(i).rx_end > time then clash t j ~rx_a:rx ~rx_b:on.(i)
+          done;
           (* interferers already in the air but too far to decode *)
           if Obs.enabled () then Obs.add rx_scanned a.len;
           for k = 0 to a.len - 1 do
@@ -469,39 +595,37 @@ let transmit_body t ~src ~duration pdu =
                 interfere t j rx ~interferer_dist:di
             end
           done;
-          t.rx_active.(j) <- rx :: t.rx_active.(j);
-          ignore
-            (Des.Engine.schedule ~span:span_rx t.engine ~delay:duration
-               (fun () ->
-                 t.rx_active.(j) <-
-                   List.filter (fun r -> r != rx) t.rx_active.(j);
-                 if
-                   (not rx.corrupted)
-                   && (not (transmitting t j))
-                   && deliverable t ~src ~dst:j
-                 then begin
-                   match t.receivers.(j) with
-                   | Some deliver -> deliver ~src pdu
-                   | None -> ()
-                 end))
+          rx_push t j rx;
+          batch_push t rx
         end
       end
       else if d <= t.cs_range then begin
         (* interference zone: undecodable, but can stomp receptions *)
-        prune_rx t j time;
-        List.iter (fun rx -> interfere t j rx ~interferer_dist:d)
-          t.rx_active.(j)
+        let on = t.rx_on.(j) in
+        for i = t.rx_count.(j) - 1 downto 0 do
+          if on.(i).rx_end > time then interfere t j on.(i) ~interferer_dist:d
+        done
       end
     end
   in
   (* nodes farther than cs_range are untouched by the body above, so
      sweeping only the grid's superset of the cs_range disc is exact *)
-  match t.grid with
-  | None ->
-      for j = 0 to t.nodes - 1 do
-        touch j
-      done
-  | Some g -> Grid.iter g ~now:time ~center:pos_src ~radius:t.cs_range touch
+  (match t.grid with
+   | None ->
+       for j = 0 to t.nodes - 1 do
+         touch j
+       done
+   | Some g -> Grid.iter g ~now:time ~center:pos_src ~radius:t.cs_range touch);
+  if Obs.enabled () then begin
+    Obs.add tx_candidates !candidates;
+    Obs.add rx_receptions t.batch_len
+  end;
+  if t.batch_len > 0 then begin
+    let rxs = Array.sub t.batch 0 t.batch_len in
+    ignore
+      (Des.Engine.schedule ~span:span_rx t.engine ~delay:duration
+         (deliver_all t ~src pdu rxs))
+  end
 
 let transmit t ~src ~duration pdu =
   if Obs.enabled () then begin

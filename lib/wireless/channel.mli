@@ -7,9 +7,21 @@
     transmission start, (b) not transmitting itself, and (c) not hit by any
     overlapping transmission from another in-range sender — otherwise the
     PDU is corrupted and silently lost (a collision). Carrier sense reports
-    busy when any in-range node is transmitting. Node positions come from a
-    mobility lookup evaluated at transmission start (frame airtimes are
-    microseconds; node displacement within one frame is negligible). *)
+    busy when any in-range node is transmitting. Node positions come from
+    the nodes' mobility scripts, evaluated at transmission start (frame
+    airtimes are microseconds; node displacement within one frame is
+    negligible).
+
+    Delivery timing and order: a frame's intact receptions are delivered
+    at the end of its airtime, in ascending receiver id, by one engine
+    event per frame (none when nothing is in range). That is the order and
+    the instant one event per receiver would give: all of a frame's
+    receptions are scheduled by one {!transmit} call for the same instant,
+    so nothing can run between them, and an event a delivery schedules
+    with delay 0 runs after the frame's last delivery either way. A
+    delivery callback that starts a transmission does not take the frame
+    from the receivers after it: their receptions end at that instant, so
+    the new frame cannot overlap them. *)
 
 type 'a t
 
@@ -29,7 +41,19 @@ type 'a t
     property, which also compares every node's [busy_until]). *)
 type grid = { max_speed : float; epoch : float }
 
-(** @raise Invalid_argument when [cs_range < range]. [trace] records a
+(** [create engine ~scripts ~range ~cs_range] is a channel over one node
+    per script; node [i] moves along [scripts.(i)] ({!Waypoint.stationary}
+    for a node that never moves).
+
+    Position cost: the channel caches each node's current leg (from
+    {!Waypoint.piece}) in flat float arrays and interpolates within it with
+    {!Waypoint.position}'s own float expression, so positions agree with
+    the scripts bit for bit. The cache costs seven floats per node. A
+    lookup allocates nothing; only a query that leaves the cached leg (a
+    new leg, or an exact departure instant) reads the script, which the
+    [channel.pos.refills] counter records with profiling on.
+
+    @raise Invalid_argument when [cs_range < range]. [trace] records a
     [mac-collision] event at each receiver-side corruption. [grid] switches
     the O(N)-per-frame neighbour scan to the spatial hash grid; omitted,
     the channel scans every node (the reference behaviour). *)
@@ -37,8 +61,7 @@ val create :
   ?trace:Trace.t ->
   ?grid:grid ->
   Des.Engine.t ->
-  nodes:int ->
-  position:(int -> float -> Vec2.t) ->
+  scripts:Waypoint.t array ->
   range:float ->
   cs_range:float ->
   'a t
@@ -52,15 +75,21 @@ val set_receiver : 'a t -> int -> (src:int -> 'a -> unit) -> unit
     collision accounting — a faulted link still radiates energy. *)
 val set_filter : 'a t -> (src:int -> dst:int -> bool) -> unit
 
-(** [transmit t ~src ~duration pdu] starts a transmission now. *)
+(** [transmit t ~src ~duration pdu] starts a transmission now; its
+    receptions end, and intact ones are delivered, [duration] later.
+    With profiling on, [channel.tx.candidates] counts the nodes the
+    neighbour sweep touches and [channel.rx.receptions] the receptions
+    it schedules. *)
 val transmit : 'a t -> src:int -> duration:float -> 'a -> unit
 
 (** Carrier sense at a node: [busy_until t i] is the absolute time when
     the medium around [i] — any node within [cs_range], or [i] itself —
     goes idle (including the post-frame guard); [now] when already idle, so
-    the medium is busy iff the result exceeds [now]. Lets a MAC anchor its
-    re-contention at the idle boundary the way DCF's frozen backoff
-    counters do.
+    the medium is busy iff the result exceeds [now]. Lets a MAC that finds
+    the medium busy draw a fresh backoff and count it from that idle
+    boundary. That is not DCF's frozen counter: nothing is paused or
+    resumed, and a frame that appears during the new backoff is not seen
+    until the backoff expires and senses again.
 
     Cost: the naive channel scans every frame on the air. The grid channel
     scans the frames filed in the cells within [cs_range] plus the drift
@@ -77,6 +106,10 @@ val transmitting : 'a t -> int -> bool
 val neighbors : 'a t -> int -> int list
 
 val in_range : 'a t -> int -> int -> bool
+
+(** Node [i]'s position now, as the channel computes it (from its leg
+    cache); equal to {!Waypoint.position} on [i]'s script. *)
+val position : 'a t -> int -> Vec2.t
 
 (** Total receiver-side collision corruptions so far. *)
 val collisions : 'a t -> int

@@ -155,8 +155,10 @@ and attempt t =
         if t.nav_until > channel_idle_at then t.nav_until else channel_idle_at
       in
       if idle_at > now t then begin
-        (* medium busy (physically or by NAV): re-contend anchored at the
-           idle boundary, like DCF's frozen backoff counters *)
+        (* medium busy (physically or by NAV): draw a fresh backoff from
+           the same window and count it from the idle boundary. Nothing is
+           frozen or resumed, and the medium is sensed again only when this
+           backoff expires. *)
         let delay = idle_at -. now t +. backoff_delay t in
         let handle =
           Des.Engine.schedule ~span:span_backoff t.engine ~delay t.backoff_fire

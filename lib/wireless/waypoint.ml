@@ -51,36 +51,57 @@ let of_legs ~initial legs =
   check 0.0 initial legs;
   { initial; legs = Array.of_list legs; cursor = 0 }
 
+(* index of the last leg with depart <= time; the caller has checked that
+   leg 0 departs at or before [time] *)
+let leg_at t time =
+  let n = Array.length t.legs in
+  (* resume from the cursor for the common monotone query, binary-search
+     on a backwards jump *)
+  let i =
+    if t.legs.(t.cursor).depart <= time then begin
+      let i = ref t.cursor in
+      while !i + 1 < n && t.legs.(!i + 1).depart <= time do
+        incr i
+      done;
+      !i
+    end
+    else begin
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi + 1) / 2 in
+        if t.legs.(mid).depart <= time then lo := mid else hi := mid - 1
+      done;
+      !lo
+    end
+  in
+  t.cursor <- i;
+  i
+
 let position t time =
   let n = Array.length t.legs in
   if n = 0 || time <= t.legs.(0).depart then t.initial
   else begin
-    (* find the last leg with depart <= time: resume from the cursor for
-       the common monotone query, binary-search on a backwards jump *)
-    let i =
-      if t.legs.(t.cursor).depart <= time then begin
-        let i = ref t.cursor in
-        while !i + 1 < n && t.legs.(!i + 1).depart <= time do
-          incr i
-        done;
-        !i
-      end
-      else begin
-        let lo = ref 0 and hi = ref (n - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi + 1) / 2 in
-          if t.legs.(mid).depart <= time then lo := mid else hi := mid - 1
-        done;
-        !lo
-      end
-    in
-    t.cursor <- i;
-    let leg = t.legs.(i) in
+    let leg = t.legs.(leg_at t time) in
     if time >= leg.arrive then leg.to_p
     else
       let frac = (time -. leg.depart) /. (leg.arrive -. leg.depart) in
       Vec2.lerp leg.from_p leg.to_p ~frac
   end
+
+let piece t time =
+  let n = Array.length t.legs in
+  if n = 0 || time < t.legs.(0).depart then
+    let hi = if n = 0 then infinity else t.legs.(0).depart in
+    ( {
+        depart = neg_infinity;
+        arrive = neg_infinity;
+        from_p = t.initial;
+        to_p = t.initial;
+      },
+      hi )
+  else
+    let i = leg_at t time in
+    (t.legs.(i), if i + 1 < n then t.legs.(i + 1).depart else infinity)
 
 let legs t = Array.to_list t.legs
 

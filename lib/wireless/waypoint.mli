@@ -49,6 +49,17 @@ val of_legs : initial:Vec2.t -> leg list -> t
 (** Position at time [t >= 0]; constant after the script's last leg. *)
 val position : t -> float -> Vec2.t
 
+(** [piece t time] is [(leg, until)]: at every instant [s] strictly
+    between [leg.depart] and [until], [position t s] is [leg.to_p] once
+    [s >= leg.arrive] and otherwise [Vec2.lerp leg.from_p leg.to_p ~frac]
+    with [frac = (s -. leg.depart) /. (leg.arrive -. leg.depart)] — the
+    expression [position] evaluates. [leg] is the last leg departing at or
+    before [time], so it covers the pause that follows it; before the
+    first departure it is a stand-in leg at [initial] that departed and
+    arrived at [neg_infinity]. Lets a caller cache one leg per node and
+    interpolate itself until a query leaves it ({!Channel} does). *)
+val piece : t -> float -> leg * float
+
 (** The script's legs (for tests). *)
 val legs : t -> leg list
 

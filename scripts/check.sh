@@ -172,7 +172,7 @@ rm -f "$tmp"/*_a.jsonl "$tmp"/*_b.jsonl
 
 # throughput regression gate: rerun the committed baseline's reduced
 # campaign (same flags as the BENCH_campaign.json snapshot) and fail when
-# perf.events_per_sec_per_job drops below 75% of the committed number
+# perf.sim_seconds_per_sec_per_job drops below 75% of the committed number
 "$BENCH" campaign --trials 1 --duration 20 --flows 6 \
   --quiet -j 4 --out "$tmp/bench_fresh.json" \
   --check-regression BENCH_campaign.json > "$tmp/bench_out.txt" 2> /dev/null
@@ -267,9 +267,9 @@ for cmd in "$SIM run" "$SIM campaign" "$BENCH"; do
   done
 done
 
-# events/s regression gate: rerun the committed BENCH_scale.json sweep
+# scale regression gate: rerun the committed BENCH_scale.json sweep
 # (100/1k/5k presets, reduced horizons) and fail when any preset's
-# events_per_sec drops below 75% of its committed number
+# sim_seconds_per_sec drops below 75% of its committed number
 "$BENCH" scale --quiet --out "$tmp/bench_scale_campaign.json" \
   --scale-out "$tmp/bench_scale.json" \
   --check-scale-regression BENCH_scale.json > "$tmp/scale_out.txt" 2> /dev/null

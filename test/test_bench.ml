@@ -282,8 +282,10 @@ let test_front_ends_agree () =
    same file as both must not compare the fresh run with itself *)
 let test_gate_reads_baseline_first () =
   let path = Filename.temp_file "baseline" ".json" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc "{\"perf\":{\"events_per_sec_per_job\":1e12}}\n");
+  let write contents =
+    Out_channel.with_open_text path (fun oc -> output_string oc contents)
+  in
+  write "{\"perf\":{\"sim_seconds_per_sec_per_job\":1e12}}\n";
   let run out =
     status bench
       (Printf.sprintf
@@ -293,6 +295,20 @@ let test_gate_reads_baseline_first () =
   in
   Alcotest.(check int) "inflated baseline at its own --out fails the gate" 3
     (run path);
+  (* the gates read simulated seconds per wall second; a baseline that
+     records only the engine's events/s cannot be compared *)
+  write "{\"perf\":{\"events_per_sec_per_job\":1.0}}\n";
+  let fresh = Filename.temp_file "fresh" ".json" in
+  Alcotest.(check int) "campaign baseline without the rate exits 2" 2
+    (run fresh);
+  Sys.remove fresh;
+  write
+    "{\"scales\":[{\"scale\":\"100\",\"sim_seconds_per_sec\":1.0},\
+     {\"scale\":\"1k\",\"events_per_sec\":1.0}]}\n";
+  Alcotest.(check int) "scale baseline with a preset lacking the rate exits 2"
+    2
+    (status bench
+       (Printf.sprintf "scale --quiet --check-scale-regression %s" path));
   let missing =
     Filename.concat (Filename.get_temp_dir_name ()) "no-such-baseline.json"
   in

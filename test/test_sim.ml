@@ -603,6 +603,45 @@ let test_cs_scan_flat () =
     Alcotest.failf "entries scanned per query: %.2f at 5k vs %.2f at 100" at_5k
       at_100
 
+(* Reception and position work on a fixed small moving world, from the
+   deterministic --prof counters: one end-of-airtime event per frame that
+   reaches anyone (a per-receiver event would run about once per
+   reception), and position lookups that stay on each node's cached leg
+   (a lookup that re-reads the script every time would refill on nearly
+   every neighbour-sweep candidate). No timing involved. *)
+let test_reception_work () =
+  let config =
+    { (quick_config C.Srp) with C.pause = 0.0; duration = 30.0; seed = 5 }
+  in
+  let count name = Obs.counter_value (Obs.counter name) in
+  let span_calls snap name =
+    match List.find_opt (fun d -> d.Obs.dist_name = name) snap.Obs.spans with
+    | Some d -> d.Obs.dist_count
+    | None -> 0
+  in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      ignore (Sim.Runner.run config);
+      let snap = Obs.snapshot () in
+      let frames = span_calls snap "channel.transmit.grid"
+      and rx_events = span_calls snap "event.channel.rx"
+      and receptions = count "channel.rx.receptions"
+      and candidates = count "channel.tx.candidates"
+      and refills = count "channel.pos.refills" in
+      Alcotest.(check bool) "frames reach several receivers" true
+        (frames > 0 && receptions > 2 * frames);
+      if rx_events > frames then
+        Alcotest.failf "%d reception events for %d frames" rx_events frames;
+      (* every candidate the sweep touches is one position lookup *)
+      if 100 * refills > candidates then
+        Alcotest.failf "%d leg-cache refills for %d swept candidates" refills
+          candidates)
+
 let () =
   Alcotest.run "sim"
     [
@@ -651,6 +690,8 @@ let () =
         ] );
       ( "scale",
         [
+          Alcotest.test_case "one reception event per frame, cached legs"
+            `Quick test_reception_work;
           Alcotest.test_case "carrier-sense scan flat in n" `Quick
             test_cs_scan_flat;
         ] );

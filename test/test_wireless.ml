@@ -130,9 +130,11 @@ let test_radio_durations () =
 (* Channel *)
 
 (* fixed positions: nodes on a line, 200 m apart *)
+let line_scripts n =
+  Array.init n (fun i -> W.stationary (vec (float_of_int i *. 200.0) 0.0))
+
 let line_channel engine n =
-  let position i _t = vec (float_of_int i *. 200.0) 0.0 in
-  Ch.create engine ~nodes:n ~position ~range:250.0 ~cs_range:550.0
+  Ch.create engine ~scripts:(line_scripts n) ~range:250.0 ~cs_range:550.0
 
 let test_channel_delivery () =
   let e = Des.Engine.create () in
@@ -167,10 +169,10 @@ let test_channel_capture () =
   let e = Des.Engine.create () in
   (* receiver at 0; near sender at 50 m; far sender at 400 m: the near frame
      is >3x closer and survives the overlap *)
-  let position i _ =
-    match i with 0 -> vec 0.0 0.0 | 1 -> vec 50.0 0.0 | _ -> vec 400.0 0.0
+  let scripts =
+    Array.map W.stationary [| vec 0.0 0.0; vec 50.0 0.0; vec 400.0 0.0 |]
   in
-  let ch = Ch.create e ~nodes:3 ~position ~range:450.0 ~cs_range:990.0 in
+  let ch = Ch.create e ~scripts ~range:450.0 ~cs_range:990.0 in
   let got = ref [] in
   Ch.set_receiver ch 0 (fun ~src pdu -> got := (src, pdu) :: !got);
   Ch.transmit ch ~src:2 ~duration:1e-3 "far";
@@ -216,6 +218,175 @@ let test_channel_neighbors () =
   Alcotest.(check (list int)) "neighbors of 2" [ 1; 3 ] (Ch.neighbors ch 2);
   Alcotest.(check bool) "in_range" true (Ch.in_range ch 0 1);
   Alcotest.(check bool) "not in range" false (Ch.in_range ch 0 2)
+
+(* node 2 sends from the middle of a cluster, so 0, 1 and 3 all hear it:
+   [f engine channel] on the naive and on the grid channel *)
+let on_cluster f =
+  let points =
+    [| vec 0.0 100.0; vec 100.0 0.0; vec 0.0 0.0; vec (-100.0) 0.0 |]
+  in
+  List.iter
+    (fun grid ->
+      let e = Des.Engine.create () in
+      let scripts = Array.map W.stationary points in
+      f e (Ch.create ?grid e ~scripts ~range:250.0 ~cs_range:550.0))
+    [ None; Some { Ch.max_speed = 0.0; epoch = 1.0 } ]
+
+let test_channel_delivery_order () =
+  (* the frame's receptions end together: delivered in ascending id, and
+     an event the first delivery schedules with delay 0 runs after the
+     last of them *)
+  on_cluster (fun e ch ->
+      let log = ref [] in
+      let note fmt =
+        Printf.ksprintf (fun s -> log := s :: !log) (fmt ^^ " at %g")
+      in
+      List.iter
+        (fun j ->
+          Ch.set_receiver ch j (fun ~src pdu ->
+              note "%d<-%d %s" j src pdu (Des.Engine.now e);
+              if j = 0 then
+                ignore
+                  (Des.Engine.schedule e ~delay:0.0 (fun () ->
+                       note "later" (Des.Engine.now e)))))
+        [ 0; 1; 3 ];
+      Ch.transmit ch ~src:2 ~duration:1e-3 "x";
+      Des.Engine.run_all e;
+      Alcotest.(check (list string))
+        "ascending ids, then the delay-0 event"
+        [ "0<-2 x at 0.001"; "1<-2 x at 0.001"; "3<-2 x at 0.001";
+          "later at 0.001" ]
+        (List.rev !log))
+
+let test_channel_reply_keeps_frame () =
+  (* receiver 0 answers inside its delivery callback: 1 and 3 still get
+     the frame that ended, and the reply reaches everyone in range of 0 *)
+  on_cluster (fun e ch ->
+      let got = Array.make 4 [] in
+      for j = 0 to 3 do
+        Ch.set_receiver ch j (fun ~src pdu ->
+            got.(j) <- (src, pdu) :: got.(j);
+            if j = 0 && pdu = "x" then
+              Ch.transmit ch ~src:0 ~duration:1e-3 "reply")
+      done;
+      Ch.transmit ch ~src:2 ~duration:1e-3 "x";
+      Des.Engine.run_all e;
+      let heard = Alcotest.(check (list (pair int string))) in
+      heard "0 hears the frame" [ (2, "x") ] (List.rev got.(0));
+      heard "1 hears frame and reply" [ (2, "x"); (0, "reply") ]
+        (List.rev got.(1));
+      heard "2 hears the reply" [ (0, "reply") ] (List.rev got.(2));
+      heard "3 hears frame and reply" [ (2, "x"); (0, "reply") ]
+        (List.rev got.(3));
+      Alcotest.(check int) "no collision" 0 (Ch.collisions ch))
+
+(* A script as its first departure, then per leg (pause before it,
+   travel time, stay put, destination x, y). Pauses and travel times may
+   be 0, giving zero-length legs and legs that depart the instant the
+   previous one arrives; [frozen] makes the last leg a zero-speed one
+   that never arrives. *)
+type script_spec = {
+  first : float;
+  legs_spec : (float * float * bool * float * float) list;
+  frozen : bool;
+}
+
+let script_of_spec s =
+  let start = vec 500.0 500.0 in
+  let n = List.length s.legs_spec in
+  let _, _, legs =
+    List.fold_left
+      (fun (k, (time, from_p), acc) (pause, travel, stay, x, y) ->
+        let depart = if k = 0 then s.first else time +. pause in
+        let to_p = if stay then from_p else vec x y in
+        let arrive =
+          if s.frozen && k = n - 1 then infinity else depart +. travel
+        in
+        (k + 1, (arrive, to_p), { W.depart; arrive; from_p; to_p } :: acc))
+      (0, (0.0, start), [])
+      s.legs_spec
+  in
+  W.of_legs ~initial:start (List.rev legs)
+
+(* every departure and arrival instant, two instants inside each leg and
+   each pause, one before the first departure and two past the end *)
+let query_times script =
+  let thirds a b =
+    if Float.is_finite b then
+      [ a +. ((b -. a) /. 3.0); a +. (2.0 *. (b -. a) /. 3.0) ]
+    else [ a +. 1.0 ]
+  in
+  let rec walk = function
+    | [] -> []
+    | l :: rest ->
+        let next =
+          match rest with m :: _ -> m.W.depart | [] -> l.W.arrive +. 2.0
+        in
+        [ l.W.depart; l.W.arrive ]
+        @ thirds l.W.depart l.W.arrive
+        @ thirds l.W.arrive next @ walk rest
+  in
+  let legs = W.legs script in
+  let first = match legs with l :: _ -> l.W.depart | [] -> 1.0 in
+  List.filter Float.is_finite ((first /. 2.0) :: walk legs)
+
+let print_spec s =
+  Printf.sprintf "first %h%s [%s]" s.first
+    (if s.frozen then " frozen" else "")
+    (String.concat "; "
+       (List.map
+          (fun (p, t, stay, x, y) ->
+            Printf.sprintf "(%h, %h, %b, %h, %h)" p t stay x y)
+          s.legs_spec))
+
+let spec_gen =
+  let open Check.Gen in
+  let zero_or lo hi = oneof [ pure 0.0; float_range lo hi ] in
+  let leg =
+    map2
+      (fun (pause, travel, stay) (x, y) -> (pause, travel, stay, x, y))
+      (triple (zero_or 0.0 3.0) (zero_or 0.0 10.0) bool)
+      (pair (float_range 0.0 1000.0) (float_range 0.0 1000.0))
+  in
+  map2
+    (fun (first, frozen) legs_spec -> { first; legs_spec; frozen })
+    (pair (zero_or 0.0 5.0) bool)
+    (list_size (int_range 0 6) leg)
+
+let same_bits a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* the channel's leg cache against Waypoint.position, bit for bit, for
+   three nodes queried together at every instant any of them cares about *)
+let prop_leg_cache =
+  Prop.test ~count:300 "leg cache equals Waypoint.position bit for bit"
+    ~print:(Prop.pp_list print_spec)
+    Check.Gen.(list_size (pure 3) spec_gen)
+    (fun specs ->
+      let scripts = Array.of_list (List.map script_of_spec specs) in
+      let times =
+        List.sort_uniq Float.compare
+          (List.concat_map query_times (Array.to_list scripts))
+      in
+      let e = Des.Engine.create () in
+      let ch = Ch.create e ~scripts ~range:250.0 ~cs_range:550.0 in
+      let ok = ref true in
+      List.iter
+        (fun time ->
+          ignore
+            (Des.Engine.schedule_at e ~time (fun () ->
+                 Array.iteri
+                   (fun i s ->
+                     (* twice: the second read comes from the memo *)
+                     for _ = 1 to 2 do
+                       let p = Ch.position ch i and q = W.position s time in
+                       if not (same_bits p.V.x q.V.x && same_bits p.V.y q.V.y)
+                       then ok := false
+                     done)
+                   scripts)))
+        times;
+      Des.Engine.run_all e;
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Spatial hash grid *)
@@ -323,11 +494,12 @@ let test_grid_iter_5k () =
    delivery logs, collision counters and the carrier-sense horizon of
    every node — probed at each transmission start and mid-airtime — must
    agree exactly. [durations] cycle over the frames. *)
-let grid_channel_agrees ~n ~position ~max_speed ~gap ~durations =
+let grid_channel_agrees ~scripts ~max_speed ~gap ~durations =
+  let n = Array.length scripts in
   let frames = 20 * Array.length durations in
   let run grid =
     let e = Des.Engine.create () in
-    let ch = Ch.create ?grid e ~nodes:n ~position ~range:250.0 ~cs_range:550.0 in
+    let ch = Ch.create ?grid e ~scripts ~range:250.0 ~cs_range:550.0 in
     let log = ref [] and horizons = ref [] in
     for i = 0 to n - 1 do
       Ch.set_receiver ch i (fun ~src pdu ->
@@ -373,8 +545,8 @@ let grid_channel_agrees ~n ~position ~max_speed ~gap ~durations =
 
 let test_grid_channel_equivalence () =
   let points = scatter ~seed:33 40 in
-  grid_channel_agrees ~n:40
-    ~position:(fun i _ -> points.(i))
+  grid_channel_agrees
+    ~scripts:(Array.map W.stationary points)
     ~max_speed:0.0 ~gap:3e-4 ~durations:[| 1e-3 |]
 
 let test_grid_channel_equivalence_moving () =
@@ -391,9 +563,7 @@ let test_grid_channel_equivalence_moving () =
           ~pause:0.0 ~speed_min:(max_speed /. 2.0) ~speed_max:max_speed
           ~duration:20.0)
   in
-  grid_channel_agrees ~n
-    ~position:(fun i t -> W.position scripts.(i) t)
-    ~max_speed ~gap:0.02 ~durations:[| 0.3; 0.002; 0.05 |]
+  grid_channel_agrees ~scripts ~max_speed ~gap:0.02 ~durations:[| 0.3; 0.002; 0.05 |]
 
 (* ------------------------------------------------------------------ *)
 (* MAC *)
@@ -402,10 +572,7 @@ type Frame.payload += Probe of int
 
 let mac_world n =
   let e = Des.Engine.create () in
-  let position i _t = vec (float_of_int i *. 200.0) 0.0 in
-  let ch =
-    Ch.create e ~nodes:n ~position ~range:250.0 ~cs_range:550.0
-  in
+  let ch = line_channel e n in
   let received = Array.make n [] in
   let failed = ref [] in
   let succeeded = ref [] in
@@ -546,6 +713,11 @@ let () =
           Alcotest.test_case "half duplex" `Quick test_channel_half_duplex;
           Alcotest.test_case "carrier sense" `Quick test_channel_carrier_sense;
           Alcotest.test_case "neighbors" `Quick test_channel_neighbors;
+          Alcotest.test_case "one frame delivers in ascending id" `Quick
+            test_channel_delivery_order;
+          Alcotest.test_case "a reply inside delivery keeps the frame" `Quick
+            test_channel_reply_keeps_frame;
+          prop_leg_cache;
         ] );
       ( "grid",
         [
