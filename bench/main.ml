@@ -46,19 +46,6 @@ let render_sections opts ppf campaign =
    figures. The member also carries the per-worker-domain ledger (cells
    run, busy wall time, GC deltas) so the bench trajectory localises where
    a speedup — or a slowdown — comes from. *)
-let worker_json (w : Obs.worker) =
-  J.Obj
-    [
-      ("domain", J.Int w.Obs.w_domain);
-      ("cells", J.Int w.Obs.w_cells);
-      ("busy_seconds", J.Float (float_of_int w.Obs.w_busy_ns /. 1e9));
-      ("minor_collections", J.Int w.Obs.w_minor_collections);
-      ("major_collections", J.Int w.Obs.w_major_collections);
-      ("minor_words", J.Int w.Obs.w_minor_words);
-      ("promoted_words", J.Int w.Obs.w_promoted_words);
-      ("major_words", J.Int w.Obs.w_major_words);
-    ]
-
 let perf_member ~jobs ~wall ~sequential_wall ~workers campaign =
   let events = campaign.Sim.Experiment.engine_events in
   let rate x = if wall > 0.0 then x /. wall else 0.0 in
@@ -85,7 +72,7 @@ let perf_member ~jobs ~wall ~sequential_wall ~workers campaign =
        ("engine_events", J.Int events);
        ("events_per_sec", J.Float eps);
        ("events_per_sec_per_job", J.Float (eps /. float_of_int jobs));
-       ("workers", J.List (List.map worker_json workers));
+       ("workers", J.List (List.map Sim.Report.worker_json workers));
        ( "gc",
          J.Obj
            [

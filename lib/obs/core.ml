@@ -1,15 +1,15 @@
-(* Performance-observability core: a typed metrics registry (monotonic
-   counters, gauges, log-bucketed histograms), wall-clock span timers for
-   hot-path profiling, and a per-domain worker ledger of campaign-cell GC
+(* Performance-observability core: wall-clock span timers for hot-path
+   profiling (with log2-bucketed per-call distributions for p50/p99),
+   monotonic counters, and a per-domain worker ledger of campaign-cell GC
    deltas.
 
    Determinism contract: nothing in this module draws randomness, schedules
    simulation events or touches simulation state — all timing is wall-clock
    side-state outside the DES, so a profiled run is behaviourally identical
    to an unprofiled one. When profiling is disabled (the default) every
-   span/histogram operation is one atomic-flag read and allocates nothing;
-   counters and gauges stay live (they are off the hot paths and the gauge
-   sampler reads them even in unprofiled runs).
+   span operation is one atomic-flag read and allocates nothing; counters
+   stay live (they are off the hot paths and the gauge sampler reads the
+   supervisor and journal counters even in unprofiled runs).
 
    Storage is domain-local: each domain lazily registers one slot table
    (via [Domain.DLS]) and mutates only its own slots, so workers never
@@ -30,15 +30,11 @@ let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 (* Registry: dense ids per metric kind, deduplicated by name. *)
 
 type span = { span_id : int; span_name : string }
-type histogram = { hist_id : int; hist_name : string }
 type counter = { ctr_id : int; ctr_name : string }
-type gauge = { gauge_id : int; gauge_name : string }
 
 let registry_mutex = Mutex.create ()
 let span_defs : span list ref = ref []
-let hist_defs : histogram list ref = ref []
 let ctr_defs : counter list ref = ref []
-let gauge_defs : gauge list ref = ref []
 
 let register defs find make =
   Mutex.protect registry_mutex (fun () ->
@@ -54,20 +50,10 @@ let span name =
     (fun s -> s.span_name = name)
     (fun id -> { span_id = id; span_name = name })
 
-let histogram name =
-  register hist_defs
-    (fun h -> h.hist_name = name)
-    (fun id -> { hist_id = id; hist_name = name })
-
 let counter name =
   register ctr_defs
     (fun c -> c.ctr_name = name)
     (fun id -> { ctr_id = id; ctr_name = name })
-
-let gauge name =
-  register gauge_defs
-    (fun g -> g.gauge_name = name)
-    (fun id -> { gauge_id = id; gauge_name = name })
 
 (* ------------------------------------------------------------------ *)
 (* Log-bucketed distributions. Bucket 0 holds values <= 0; bucket i >= 1
@@ -113,9 +99,7 @@ type ledger = {
 type local = {
   domain_id : int;
   mutable span_slots : slot array;
-  mutable hist_slots : slot array;
   mutable counter_vals : int array;
-  mutable gauge_vals : int array;
   led : ledger;
 }
 
@@ -129,9 +113,7 @@ let fresh_local () =
     {
       domain_id = (Domain.self () :> int);
       span_slots = [||];
-      hist_slots = [||];
       counter_vals = [||];
-      gauge_vals = [||];
       led =
         { cells = 0; busy_ns = 0; minor_collections = 0; major_collections = 0;
           minor_words = 0; promoted_words = 0; major_words = 0 };
@@ -154,13 +136,6 @@ let span_slot l (s : span) =
     l.span_slots.(s.span_id)
   end
 
-let hist_slot l (h : histogram) =
-  if h.hist_id < Array.length l.hist_slots then l.hist_slots.(h.hist_id)
-  else begin
-    l.hist_slots <- grow_slots l.hist_slots h.hist_id;
-    l.hist_slots.(h.hist_id)
-  end
-
 let grow_ints arr id =
   let n = Stdlib.max (id + 1) ((2 * Array.length arr) + 4) in
   Array.init n (fun i -> if i < Array.length arr then arr.(i) else 0)
@@ -168,24 +143,17 @@ let grow_ints arr id =
 (* ------------------------------------------------------------------ *)
 (* Hot-path operations. *)
 
-let record_into slot v =
-  slot.count <- slot.count + 1;
-  slot.total <- slot.total + v;
-  let b = bucket_index v in
-  slot.buckets.(b) <- slot.buckets.(b) + 1
-
 let start sp = if enabled () then (span_slot (local ()) sp).t0 <- now_ns ()
 
 let stop sp =
   if enabled () then begin
     let slot = span_slot (local ()) sp in
-    record_into slot (now_ns () - slot.t0)
+    let v = now_ns () - slot.t0 in
+    slot.count <- slot.count + 1;
+    slot.total <- slot.total + v;
+    let b = bucket_index v in
+    slot.buckets.(b) <- slot.buckets.(b) + 1
   end
-
-let record_span_ns sp ns =
-  if enabled () then record_into (span_slot (local ()) sp) ns
-
-let observe h v = if enabled () then record_into (hist_slot (local ()) h) v
 
 let add c n =
   let l = local () in
@@ -195,26 +163,16 @@ let add c n =
 
 let incr c = add c 1
 
-let set_gauge g v =
-  let l = local () in
-  if g.gauge_id >= Array.length l.gauge_vals then
-    l.gauge_vals <- grow_ints l.gauge_vals g.gauge_id;
-  l.gauge_vals.(g.gauge_id) <- v
-
-let raise_gauge g v =
-  let l = local () in
-  if g.gauge_id >= Array.length l.gauge_vals then
-    l.gauge_vals <- grow_ints l.gauge_vals g.gauge_id;
-  if v > l.gauge_vals.(g.gauge_id) then l.gauge_vals.(g.gauge_id) <- v
-
-let counter_value c =
-  let ls = Mutex.protect registry_mutex (fun () -> !locals) in
+let sum_counter ls c =
   List.fold_left
     (fun acc l ->
       if c.ctr_id < Array.length l.counter_vals then
         acc + l.counter_vals.(c.ctr_id)
       else acc)
     0 ls
+
+let counter_value c =
+  sum_counter (Mutex.protect registry_mutex (fun () -> !locals)) c
 
 (* ------------------------------------------------------------------ *)
 (* Per-cell GC deltas and the worker ledger. *)
@@ -252,9 +210,8 @@ let cell_done ~wall ~gc =
   led.major_words <- led.major_words + gc.gc_major_words
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots: plain data, deterministic ordering, exact (all-integer)
-   merge — associative and commutative, so per-worker snapshots combine in
-   any order. *)
+(* Snapshots: plain data in deterministic order, summed over every
+   domain's tables. *)
 
 type dist = {
   dist_name : string;
@@ -276,27 +233,23 @@ type worker = {
 
 type snapshot = {
   spans : dist list;
-  hists : dist list;
   counters : (string * int) list;
-  gauges : (string * int) list;
   workers : worker list;
 }
 
 let by_name a b = compare a.dist_name b.dist_name
 
 let snapshot () =
-  let span_list, hist_list, ctr_list, gauge_list, local_list =
-    Mutex.protect registry_mutex (fun () ->
-        (!span_defs, !hist_defs, !ctr_defs, !gauge_defs, !locals))
+  let span_list, ctr_list, local_list =
+    Mutex.protect registry_mutex (fun () -> (!span_defs, !ctr_defs, !locals))
   in
-  let dist_of id name slots_of =
+  let dist_of (sp : span) =
     let count = ref 0 and total = ref 0 in
     let buckets = Array.make bucket_count 0 in
     List.iter
       (fun l ->
-        let slots = slots_of l in
-        if id < Array.length slots then begin
-          let s = slots.(id) in
+        if sp.span_id < Array.length l.span_slots then begin
+          let s = l.span_slots.(sp.span_id) in
           count := !count + s.count;
           total := !total + s.total;
           Array.iteri (fun b n -> buckets.(b) <- buckets.(b) + n) s.buckets
@@ -306,46 +259,20 @@ let snapshot () =
     else
       Some
         {
-          dist_name = name;
+          dist_name = sp.span_name;
           dist_count = !count;
           dist_total = !total;
           dist_buckets = buckets;
         }
   in
-  let spans =
-    List.sort by_name
-      (List.filter_map
-         (fun s -> dist_of s.span_id s.span_name (fun l -> l.span_slots))
-         span_list)
-  in
-  let hists =
-    List.sort by_name
-      (List.filter_map
-         (fun h -> dist_of h.hist_id h.hist_name (fun l -> l.hist_slots))
-         hist_list)
-  in
-  let sum_ints id vals_of =
-    List.fold_left
-      (fun acc l ->
-        let vals = vals_of l in
-        if id < Array.length vals then acc + vals.(id) else acc)
-      0 local_list
-  in
+  let spans = List.sort by_name (List.filter_map dist_of span_list) in
   let counters =
     List.sort compare
       (List.filter_map
          (fun c ->
-           let v = sum_ints c.ctr_id (fun l -> l.counter_vals) in
+           let v = sum_counter local_list c in
            if v = 0 then None else Some (c.ctr_name, v))
          ctr_list)
-  in
-  let gauges =
-    List.sort compare
-      (List.filter_map
-         (fun g ->
-           let v = sum_ints g.gauge_id (fun l -> l.gauge_vals) in
-           if v = 0 then None else Some (g.gauge_name, v))
-         gauge_list)
   in
   let workers =
     List.sort
@@ -367,50 +294,7 @@ let snapshot () =
                })
          local_list)
   in
-  { spans; hists; counters; gauges; workers }
-
-let merge_dist a b =
-  {
-    dist_name = a.dist_name;
-    dist_count = a.dist_count + b.dist_count;
-    dist_total = a.dist_total + b.dist_total;
-    dist_buckets = Array.init bucket_count (fun i ->
-        a.dist_buckets.(i) + b.dist_buckets.(i));
-  }
-
-(* union of two sorted keyed lists, combining equal keys *)
-let rec merge_sorted key combine xs ys =
-  match (xs, ys) with
-  | [], rest | rest, [] -> rest
-  | x :: xs', y :: ys' ->
-      let c = compare (key x) (key y) in
-      if c = 0 then combine x y :: merge_sorted key combine xs' ys'
-      else if c < 0 then x :: merge_sorted key combine xs' ys
-      else y :: merge_sorted key combine xs ys'
-
-let merge_worker a b =
-  {
-    w_domain = a.w_domain;
-    w_cells = a.w_cells + b.w_cells;
-    w_busy_ns = a.w_busy_ns + b.w_busy_ns;
-    w_minor_collections = a.w_minor_collections + b.w_minor_collections;
-    w_major_collections = a.w_major_collections + b.w_major_collections;
-    w_minor_words = a.w_minor_words + b.w_minor_words;
-    w_promoted_words = a.w_promoted_words + b.w_promoted_words;
-    w_major_words = a.w_major_words + b.w_major_words;
-  }
-
-let merge_snapshots a b =
-  {
-    spans = merge_sorted (fun d -> d.dist_name) merge_dist a.spans b.spans;
-    hists = merge_sorted (fun d -> d.dist_name) merge_dist a.hists b.hists;
-    counters =
-      merge_sorted fst (fun (k, x) (_, y) -> (k, x + y)) a.counters b.counters;
-    gauges =
-      merge_sorted fst (fun (k, x) (_, y) -> (k, x + y)) a.gauges b.gauges;
-    workers =
-      merge_sorted (fun w -> w.w_domain) merge_worker a.workers b.workers;
-  }
+  { spans; counters; workers }
 
 (* Quantile estimate: the bucket floor at rank ceil(p * count) — within a
    factor of two below the true quantile, which is all span localisation
@@ -449,9 +333,7 @@ let reset () =
               slots
           in
           clear l.span_slots;
-          clear l.hist_slots;
           Array.fill l.counter_vals 0 (Array.length l.counter_vals) 0;
-          Array.fill l.gauge_vals 0 (Array.length l.gauge_vals) 0;
           l.led.cells <- 0;
           l.led.busy_ns <- 0;
           l.led.minor_collections <- 0;
@@ -460,5 +342,3 @@ let reset () =
           l.led.promoted_words <- 0;
           l.led.major_words <- 0)
         !locals)
-
-let span_name (s : span) = s.span_name

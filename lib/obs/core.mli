@@ -1,12 +1,11 @@
-(** Performance-observability core: typed metrics registry, hot-path span
-    timers, and per-domain GC/worker telemetry.
+(** Performance-observability core: hot-path span timers, monotonic
+    counters, and per-domain GC/worker telemetry.
 
     Determinism contract: nothing here touches simulation state — all
     timing is wall-clock side-state outside the DES. With profiling
-    disabled (the default), span and histogram operations are a single
-    atomic-flag read and allocate nothing; counters and gauges are always
-    live (they sit off the hot paths and the gauge sampler reads them in
-    unprofiled runs too). *)
+    disabled (the default), span operations are a single atomic-flag read
+    and allocate nothing; counters are always live (they sit off the hot
+    paths and the gauge sampler reads them in unprofiled runs too). *)
 
 val enable : unit -> unit
 val disable : unit -> unit
@@ -22,15 +21,10 @@ val now_ns : unit -> int
     them once at module level where possible. *)
 
 type span
-type histogram
 type counter
-type gauge
 
 val span : string -> span
-val span_name : span -> string
-val histogram : string -> histogram
 val counter : string -> counter
-val gauge : string -> gauge
 
 (** {1 Hot-path operations}
 
@@ -40,19 +34,8 @@ val gauge : string -> gauge
 
 val start : span -> unit
 val stop : span -> unit
-
-(** Record an externally measured duration against a span (gated on
-    [enabled], like [start]/[stop]). *)
-val record_span_ns : span -> int -> unit
-
-val observe : histogram -> int -> unit
 val incr : counter -> unit
 val add : counter -> int -> unit
-val set_gauge : gauge -> int -> unit
-
-(** High-water update: set the gauge to [v] only when it exceeds the
-    domain-local current value. *)
-val raise_gauge : gauge -> int -> unit
 
 (** Sum of a counter across all domains. Racy while workers run (may lag
     by in-flight increments); exact once they have joined. *)
@@ -83,9 +66,9 @@ val cell_done : wall:float -> gc:gc_delta -> unit
 
 (** {1 Snapshots}
 
-    Plain data with deterministic (name-sorted) ordering. All fields are
-    integers, so [merge_snapshots] is exactly associative and commutative.
-    Empty metrics are omitted. *)
+    Plain data with deterministic (name-sorted) ordering, summed over
+    every domain's tables; exact once the workers have joined. Empty
+    metrics are omitted. *)
 
 type dist = {
   dist_name : string;
@@ -107,14 +90,11 @@ type worker = {
 
 type snapshot = {
   spans : dist list;
-  hists : dist list;
   counters : (string * int) list;
-  gauges : (string * int) list;  (** merged by sum *)
   workers : worker list;
 }
 
 val snapshot : unit -> snapshot
-val merge_snapshots : snapshot -> snapshot -> snapshot
 
 (** [percentile d p] for [p] in (0,1]: the bucket floor at rank
     [ceil (p * count)] — a power of two within 2x below the true

@@ -1,6 +1,7 @@
 (* Text expositions of an observability snapshot: Prometheus 0.0.4 text
-   format for external scrapers, plus the one stable stderr engine-stats
-   line that check.sh and humans both read. *)
+   format for external scrapers (span time, calls and p50/p99, one family
+   per counter, and the worker ledger), plus the one stable stderr
+   engine-stats line that check.sh and humans both read. *)
 
 let buf_add = Buffer.add_string
 
@@ -71,40 +72,13 @@ let prometheus (s : Core.snapshot) =
           [ ("0.5", 0.5); ("0.99", 0.99) ])
       s.Core.spans
   end;
-  if s.Core.hists <> [] then begin
-    family b ~name:"manet_histogram_observations_total"
-      ~help:"Observation count per size/latency histogram." ~kind:"counter";
-    List.iter
-      (fun d ->
-        buf_add b
-          (Printf.sprintf
-             "manet_histogram_observations_total{histogram=\"%s\"} %d\n"
-             (escape_label d.Core.dist_name)
-             d.Core.dist_count))
-      s.Core.hists;
-    family b ~name:"manet_histogram_sum"
-      ~help:"Sum of observed values per histogram." ~kind:"counter";
-    List.iter
-      (fun d ->
-        buf_add b
-          (Printf.sprintf "manet_histogram_sum{histogram=\"%s\"} %d\n"
-             (escape_label d.Core.dist_name)
-             d.Core.dist_total))
-      s.Core.hists
-  end;
   List.iter
     (fun (name, v) ->
       let name = "manet_" ^ sanitize name ^ "_total" in
-      family b ~name ~help:"Monotonic event counter." ~kind:"counter";
+      family b ~name ~help:"Monotonic work counter, summed across domains."
+        ~kind:"counter";
       buf_add b (Printf.sprintf "%s %d\n" name v))
     s.Core.counters;
-  List.iter
-    (fun (name, v) ->
-      let name = "manet_" ^ sanitize name in
-      family b ~name ~help:"Last observed value (summed across domains)."
-        ~kind:"gauge";
-      buf_add b (Printf.sprintf "%s %d\n" name v))
-    s.Core.gauges;
   if s.Core.workers <> [] then begin
     let worker_family name help value =
       family b ~name ~help ~kind:"counter";
@@ -122,19 +96,21 @@ let prometheus (s : Core.snapshot) =
       "Wall-clock time spent running cells per worker domain." (fun w ->
         seconds w.Core.w_busy_ns);
     worker_family "manet_worker_minor_collections_total"
-      "Minor GC collections incurred by cells per worker domain." (fun w ->
-        string_of_int w.Core.w_minor_collections);
+      "Minor GC collections during cells per worker domain (runtime-wide)."
+      (fun w -> string_of_int w.Core.w_minor_collections);
     worker_family "manet_worker_major_collections_total"
-      "Major GC collections incurred by cells per worker domain." (fun w ->
-        string_of_int w.Core.w_major_collections);
+      "Major GC collections during cells per worker domain (runtime-wide)."
+      (fun w -> string_of_int w.Core.w_major_collections);
     worker_family "manet_worker_minor_words_total"
-      "Words allocated on the minor heap by cells per worker domain."
+      "Minor-heap words allocated during cells per worker domain \
+       (runtime-wide)."
       (fun w -> string_of_int w.Core.w_minor_words);
     worker_family "manet_worker_promoted_words_total"
-      "Words promoted to the major heap by cells per worker domain."
+      "Words promoted during cells per worker domain (runtime-wide)."
       (fun w -> string_of_int w.Core.w_promoted_words);
     worker_family "manet_worker_major_words_total"
-      "Words allocated directly on the major heap by cells per worker domain."
+      "Major-heap words allocated during cells per worker domain \
+       (runtime-wide)."
       (fun w -> string_of_int w.Core.w_major_words)
   end;
   Buffer.contents b

@@ -1,10 +1,5 @@
 let span_timer = Obs.span "proto.srp.timer"
 
-(* Always-on label telemetry: the high-water encoded label width per
-   domain, and the count of seqno resets forced by label exhaustion. *)
-let gauge_width_bits = Obs.gauge "srp.label.width_bits.max"
-let counter_label_resets = Obs.counter "srp.label.resets"
-
 module Ordering = Slr.Ordering
 module Label = Slr.Label
 module Label_set = Slr.Label_set
@@ -352,10 +347,7 @@ let set_route t ~dst ~via ~adv_order ~adv_dist ~cached ~lifetime =
       | Some (_, den) when den > t.max_denom_seen -> t.max_denom_seen <- den
       | Some _ | None -> ());
       let width = Label.width_bits g.Ordering.label in
-      if width > t.label_width_max then begin
-        t.label_width_max <- width;
-        Obs.raise_gauge gauge_width_bits width
-      end;
+      if width > t.label_width_max then t.label_width_max <- width;
       let trace = t.ctx.Routing_intf.trace in
       let me = t.ctx.Routing_intf.id in
       Trace.route_add trace ~node:me ~dst ~via ~dist:(adv_dist + 1);
@@ -461,7 +453,6 @@ let destination_reply t rreq ~last_hop =
     (* the T bit / MAX_DENOM probe path: this reset was forced by label
        exhaustion, the cost the dense-set choice trades against width *)
     t.label_resets <- t.label_resets + 1;
-    Obs.incr counter_label_resets;
     Trace.seqno_reset t.ctx.Routing_intf.trace ~node:t.ctx.Routing_intf.id
       ~seqno:t.self_seqno
   end;

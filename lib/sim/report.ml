@@ -214,6 +214,20 @@ let campaign_json (t : Experiment.t) =
    [campaign_json]/[run_json] themselves: unprofiled envelopes must stay
    byte-identical to pre-observability builds. *)
 
+let worker_json (w : Obs.worker) =
+  let module J = Trace.Json in
+  J.Obj
+    [
+      ("domain", J.Int w.Obs.w_domain);
+      ("cells", J.Int w.Obs.w_cells);
+      ("busy_seconds", J.Float (float_of_int w.Obs.w_busy_ns /. 1e9));
+      ("minor_collections", J.Int w.Obs.w_minor_collections);
+      ("major_collections", J.Int w.Obs.w_major_collections);
+      ("minor_words", J.Int w.Obs.w_minor_words);
+      ("promoted_words", J.Int w.Obs.w_promoted_words);
+      ("major_words", J.Int w.Obs.w_major_words);
+    ]
+
 let profile_json (s : Obs.snapshot) =
   let module J = Trace.Json in
   let dist_json (d : Obs.dist) =
@@ -226,33 +240,9 @@ let profile_json (s : Obs.snapshot) =
         ("p99_ns", J.Int (Obs.percentile d 0.99));
       ]
   in
-  let hist_json (d : Obs.dist) =
-    J.Obj
-      [
-        ("name", J.String d.Obs.dist_name);
-        ("count", J.Int d.Obs.dist_count);
-        ("sum", J.Int d.Obs.dist_total);
-        ("p50", J.Int (Obs.percentile d 0.5));
-        ("p99", J.Int (Obs.percentile d 0.99));
-      ]
-  in
-  let worker_json (w : Obs.worker) =
-    J.Obj
-      [
-        ("domain", J.Int w.Obs.w_domain);
-        ("cells", J.Int w.Obs.w_cells);
-        ("busy_seconds", J.Float (float_of_int w.Obs.w_busy_ns /. 1e9));
-        ("minor_collections", J.Int w.Obs.w_minor_collections);
-        ("major_collections", J.Int w.Obs.w_major_collections);
-        ("minor_words", J.Int w.Obs.w_minor_words);
-        ("promoted_words", J.Int w.Obs.w_promoted_words);
-        ("major_words", J.Int w.Obs.w_major_words);
-      ]
-  in
   J.Obj
     [
       ("spans", J.List (List.map dist_json s.Obs.spans));
-      ("histograms", J.List (List.map hist_json s.Obs.hists));
       ( "counters",
         J.Obj (List.map (fun (k, v) -> (k, J.Int v)) s.Obs.counters) );
       ("workers", J.List (List.map worker_json s.Obs.workers));
@@ -287,13 +277,6 @@ let profile ppf (s : Obs.snapshot) =
     (List.sort
        (fun (a : Obs.dist) b -> compare b.Obs.dist_total a.Obs.dist_total)
        s.Obs.spans);
-  List.iter
-    (fun (d : Obs.dist) ->
-      Format.fprintf ppf
-        "  histogram %-20s count %d sum %d p50 %d p99 %d@." d.Obs.dist_name
-        d.Obs.dist_count d.Obs.dist_total (Obs.percentile d 0.5)
-        (Obs.percentile d 0.99))
-    s.Obs.hists;
   List.iter
     (fun (w : Obs.worker) ->
       Format.fprintf ppf

@@ -53,8 +53,13 @@ val campaign_json : Experiment.t -> Trace.Json.t
     {!run_json} themselves, so unprofiled envelopes stay byte-identical to
     pre-observability builds. *)
 
-(** Machine-readable profile: spans and histograms with count / total /
-    p50 / p99, counter totals, and the per-worker-domain cell/GC ledger. *)
+(** One worker domain's ledger entry: cells run, busy seconds, GC deltas.
+    The ["workers"] list of {!profile_json} and of the bench's ["perf"]
+    member. *)
+val worker_json : Obs.worker -> Trace.Json.t
+
+(** Machine-readable profile: spans with count / total / p50 / p99,
+    counter totals, and the per-worker-domain cell/GC ledger. *)
 val profile_json : Obs.snapshot -> Trace.Json.t
 
 (** [add_profile json snapshot] appends a ["perf_profile"] member to a

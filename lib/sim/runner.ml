@@ -20,7 +20,7 @@ let dead_agent drop =
     gauges = (fun () -> Protocols.Routing_intf.no_gauges);
   }
 
-let run_custom_detailed ?(on_faults = fun (_ : Faults.Injector.t) -> ())
+let run_custom ?(on_faults = fun (_ : Faults.Injector.t) -> ())
     ?(trace = Trace.null) ?(sample_every = 0.0) ?deadline (config : Config.t)
     ~build ~on_start =
   let engine = Des.Engine.create () in
@@ -241,17 +241,9 @@ let run_custom_detailed ?(on_faults = fun (_ : Faults.Injector.t) -> ())
       ~engine_events:(Des.Engine.executed engine)
   in
   Trace.close trace;
-  (result, gauges)
-
-let run_detailed ?trace ?sample_every ?deadline config =
-  run_custom_detailed ?trace ?sample_every ?deadline config
-    ~build:(fun _ ctx -> build_agent config ctx)
-    ~on_start:(fun _ -> ())
-
-let run_custom ?on_faults ?trace ?sample_every ?deadline config ~build ~on_start =
-  fst
-    (run_custom_detailed ?on_faults ?trace ?sample_every ?deadline config
-       ~build ~on_start)
+  result
 
 let run ?trace ?sample_every ?deadline config =
-  fst (run_detailed ?trace ?sample_every ?deadline config)
+  run_custom ?trace ?sample_every ?deadline config
+    ~build:(fun _ ctx -> build_agent config ctx)
+    ~on_start:(fun _ -> ())

@@ -43,16 +43,8 @@ type ev =
 
 type record = { time : float; node : int; ev : ev }
 
-type ring_state = {
-  capacity : int;
-  buf : record array;
-  mutable next : int;
-  mutable filled : bool;
-}
-
 type sink =
   | Null
-  | Ring of ring_state
   | Jsonl of { oc : out_channel; scratch : Buffer.t }
   | Callback of (record -> unit)
 
@@ -61,17 +53,7 @@ type t = { sink : sink; mutable clock : unit -> float }
 let null = { sink = Null; clock = (fun () -> 0.0) }
 
 let enabled t =
-  match t.sink with Null -> false | Ring _ | Jsonl _ | Callback _ -> true
-
-let dummy_record = { time = 0.0; node = 0; ev = Mac_collision }
-
-let ring ~clock ~capacity =
-  if capacity <= 0 then invalid_arg "Trace.ring: non-positive capacity";
-  {
-    sink =
-      Ring { capacity; buf = Array.make capacity dummy_record; next = 0; filled = false };
-    clock;
-  }
+  match t.sink with Null -> false | Jsonl _ | Callback _ -> true
 
 let jsonl ~clock oc =
   (* abnormal exits (uncaught exception, exit on signal handlers) must
@@ -155,25 +137,16 @@ let record_to_json { time; node; ev } =
     :: ("ev", Json.String name)
     :: fields)
 
-(* --prof: time spent writing trace records, and JSONL record sizes *)
+(* --prof: time spent writing trace records *)
 let span_sink = Obs.span "trace.sink"
-let jsonl_record_bytes = Obs.histogram "trace.jsonl_record_bytes"
 
 let push_body sink r =
   match sink with
   | Null -> ()
-  | Ring ring ->
-      ring.buf.(ring.next) <- r;
-      ring.next <- ring.next + 1;
-      if ring.next = ring.capacity then begin
-        ring.next <- 0;
-        ring.filled <- true
-      end
   | Jsonl { oc; scratch } ->
       Buffer.clear scratch;
       Json.to_buffer scratch (record_to_json r);
       Buffer.add_char scratch '\n';
-      Obs.observe jsonl_record_bytes (Buffer.length scratch);
       Buffer.output_buffer oc scratch
   | Callback f -> f r
 
@@ -186,16 +159,6 @@ let push sink r =
   else push_body sink r
 
 let emit t ~node ev = push t.sink { time = t.clock (); node; ev }
-
-let ring_contents t =
-  match t.sink with
-  | Null | Jsonl _ | Callback _ -> []
-  | Ring ring ->
-      if not ring.filled then
-        Array.to_list (Array.sub ring.buf 0 ring.next)
-      else
-        Array.to_list (Array.sub ring.buf ring.next (ring.capacity - ring.next))
-        @ Array.to_list (Array.sub ring.buf 0 ring.next)
 
 let close t = match t.sink with Jsonl { oc; _ } -> flush oc | _ -> ()
 

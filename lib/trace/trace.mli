@@ -9,9 +9,10 @@
 
     Sinks:
     - [Null]: tracing off (the default);
-    - bounded in-memory ring buffer (keeps the last [capacity] records);
     - JSONL stream: one JSON object per record, in emission order.
-      Same seed, same bytes. *)
+      Same seed, same bytes;
+    - callback: every record handed to a function, for in-process
+      analyses and tests. *)
 
 module Json = Json
 
@@ -71,9 +72,6 @@ val null : t
 (** [enabled t] is [false] exactly for {!null}-like tracers. *)
 val enabled : t -> bool
 
-(** [ring ~clock ~capacity] keeps the last [capacity] records in memory. *)
-val ring : clock:(unit -> float) -> capacity:int -> t
-
 (** [jsonl ~clock oc] streams one JSON object per record to [oc].
     Call {!close} to flush (the channel itself is not closed). An
     [at_exit] hook also flushes [oc], so a run that dies with an uncaught
@@ -90,9 +88,6 @@ val callback : clock:(unit -> float) -> (record -> unit) -> t
     tracer before the simulation engine exists; the runner points the
     tracer at the engine's clock once it is created. No-op on {!null}. *)
 val set_clock : t -> (unit -> float) -> unit
-
-(** Records currently held by a ring tracer, oldest first ([] otherwise). *)
-val ring_contents : t -> record list
 
 (** Flush buffered output (JSONL sink); no-op otherwise. *)
 val close : t -> unit

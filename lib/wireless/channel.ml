@@ -414,8 +414,6 @@ let within t a b ~radius =
   let dx = t.pos_x.(a) -. t.pos_x.(b) and dy = t.pos_y.(a) -. t.pos_y.(b) in
   (dx *. dx) +. (dy *. dy) <= radius *. radius
 
-let in_range t a b = within t a b ~radius:t.range
-
 (* deterministic work counters for --prof: carrier-sense queries, the
    air entries they scan, and the entries the per-receiver interferer
    sweep scans *)
@@ -442,31 +440,6 @@ let busy_until t i =
     then horizon := guarded
   done;
   !horizon
-
-let neighbors t i =
-  let time = now t in
-  let pos_i = pos t i time in
-  let xi = pos_i.Vec2.x and yi = pos_i.Vec2.y in
-  let result = ref [] in
-  let consider j =
-    if j <> i then begin
-      refresh_pos t j time;
-      let dx = xi -. t.pos_x.(j) and dy = yi -. t.pos_y.(j) in
-      if (dx *. dx) +. (dy *. dy) <= t.range *. t.range then
-        result := j :: !result
-    end
-  in
-  match t.grid with
-  | None ->
-      for j = t.nodes - 1 downto 0 do
-        consider j
-      done;
-      !result
-  | Some g ->
-      (* candidates arrive ascending, so reversing restores the naive
-         ascending result list *)
-      Grid.iter g ~now:time ~center:pos_i ~radius:t.range consider;
-      List.rev !result
 
 let corrupt t node rx =
   if not rx.corrupted then begin
@@ -638,6 +611,3 @@ let transmit t ~src ~duration pdu =
 let collisions t = t.collision_count
 
 let collisions_at t i = t.collision_at.(i)
-
-let grid_rebuilds t =
-  match t.grid with None -> 0 | Some g -> Grid.rebuilds g

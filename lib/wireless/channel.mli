@@ -25,9 +25,9 @@
 
 type 'a t
 
-(** Enables the spatial-grid hot path. Neighbour scans in [transmit] and
-    [neighbors] sweep only hash-grid buckets covering the query disc
-    instead of all N nodes. The air is local too: each in-flight frame is
+(** Enables the spatial-grid hot path. The neighbour scan in [transmit]
+    sweeps only hash-grid buckets covering the query disc instead of all
+    N nodes. The air is local too: each in-flight frame is
     filed in a bucket keyed by its sender's cell at transmission start, so
     [busy_until] and the per-receiver collision sweep of [transmit] read
     only the frames filed near the query rather than every frame on the
@@ -99,14 +99,6 @@ val transmit : 'a t -> src:int -> duration:float -> 'a -> unit
     counts the frames the collision sweep scans per receiver). *)
 val busy_until : 'a t -> int -> float
 
-(** Is the node itself transmitting right now? *)
-val transmitting : 'a t -> int -> bool
-
-(** Nodes currently within range of [node] (excluding itself). *)
-val neighbors : 'a t -> int -> int list
-
-val in_range : 'a t -> int -> int -> bool
-
 (** Node [i]'s position now, as the channel computes it (from its leg
     cache); equal to {!Waypoint.position} on [i]'s script. *)
 val position : 'a t -> int -> Vec2.t
@@ -116,6 +108,3 @@ val collisions : 'a t -> int
 
 (** Collisions suffered per node (as receiver). *)
 val collisions_at : 'a t -> int -> int
-
-(** Spatial-grid rebuilds performed so far; 0 on a naive-scan channel. *)
-val grid_rebuilds : 'a t -> int

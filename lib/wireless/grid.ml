@@ -21,7 +21,6 @@ type t = {
   spare : int array;
   runs : int array;
   mask : bool array;
-  mutable rebuild_count : int;
 }
 
 let create ~nodes ~position ~cell ~max_speed ~epoch =
@@ -47,7 +46,6 @@ let create ~nodes ~position ~cell ~max_speed ~epoch =
     spare = Array.make (Stdlib.max nodes 1) 0;
     runs = Array.make (nodes + 1) 0;
     mask = Array.make (Stdlib.max nodes 1) false;
-    rebuild_count = 0;
   }
 
 let bucket t x y =
@@ -91,8 +89,7 @@ let rebuild_body t ~now =
       cursor.(b) <- cursor.(b) + 1
     done
   end;
-  t.built_at <- now;
-  t.rebuild_count <- t.rebuild_count + 1
+  t.built_at <- now
 
 let rebuild t ~now =
   if Obs.enabled () then begin
@@ -225,5 +222,3 @@ let iter t ~now ~center ~radius f =
       end
     end
   end
-
-let rebuilds t = t.rebuild_count

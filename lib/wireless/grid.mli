@@ -51,6 +51,3 @@ val rebuild : t -> now:float -> unit
     O(m log k). So a query costs what its neighbourhood holds, not
     [nodes]. *)
 val iter : t -> now:float -> center:Vec2.t -> radius:float -> (int -> unit) -> unit
-
-(** Number of rebuilds performed so far (lazy and forced). *)
-val rebuilds : t -> int

@@ -1,18 +1,26 @@
 (** Simplified 802.11 DCF MAC.
 
-    Models the parts of the DCF that shape the paper's results: carrier
-    sense with DIFS + random slotted backoff and binary-exponential
+    Models the parts of the DCF that shape the paper's results: physical
+    carrier sense with DIFS + random slotted backoff and binary-exponential
     contention-window growth, unicast DATA/ACK with a retry limit whose
     exhaustion is reported upward (the "link-layer unicast loss detection"
     all on-demand protocols in the paper rely on), unacknowledged broadcast,
     a bounded interface queue, and per-node drop counters (Fig. 3's metric).
-    Not modelled: RTS/CTS (frames are below the usual threshold), NAV
-    virtual carrier sense, capture, rate adaptation.
+    A unicast frame larger than [Radio.rts_threshold] (128 bytes) is
+    preceded by an RTS/CTS exchange; a node that overhears an RTS or CTS
+    addressed to another node sets its NAV from the frame's duration field
+    and treats the medium as busy until it expires (virtual carrier sense).
+    Capture is the channel's: a frame survives an overlap when its sender
+    is three times closer than the competing one ({!Channel}). Not
+    modelled: rate adaptation, EIFS, fragmentation.
 
-    Backoff is implemented by re-sensing: a node picks a uniform backoff,
-    sleeps DIFS + backoff, and transmits if the medium is free, otherwise
-    re-draws. This approximates counter freezing with far less event churn
-    and preserves relative fairness. *)
+    Backoff is implemented by re-sensing: a node picks a uniform backoff
+    from its contention window, waits DIFS + backoff, and transmits if
+    neither the channel nor its NAV reports the medium busy. Otherwise it
+    draws a fresh backoff from the same window and counts it from the idle
+    boundary. Nothing is frozen or resumed, and a frame that appears
+    during the new backoff is not seen until that backoff expires and the
+    node senses again. *)
 
 type t
 

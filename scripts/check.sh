@@ -269,8 +269,17 @@ done
 
 # scale regression gate: rerun the committed BENCH_scale.json sweep
 # (100/1k/5k presets, reduced horizons) and fail when any preset's
-# sim_seconds_per_sec drops below 75% of its committed number
-"$BENCH" scale --quiet --out "$tmp/bench_scale_campaign.json" \
+# sim_seconds_per_sec drops below 75% of its committed number. The sweep
+# is pinned to the last CPU this shell may use, as perfbench/run.py pins
+# its runs: unpinned, one binary's 1k figure wandered by +-25% between
+# sweeps on a shared 2-core machine.
+pin=""
+if command -v taskset > /dev/null 2>&1; then
+  cpus="$(taskset -pc $$ | sed 's/.*: //')"
+  pin="taskset -c ${cpus##*[,-]}"
+fi
+# shellcheck disable=SC2086
+$pin "$BENCH" scale --quiet --out "$tmp/bench_scale_campaign.json" \
   --scale-out "$tmp/bench_scale.json" \
   --check-scale-regression BENCH_scale.json > "$tmp/scale_out.txt" 2> /dev/null
 grep "scale regression gate" "$tmp/scale_out.txt"

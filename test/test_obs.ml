@@ -1,10 +1,6 @@
-(* Tests for the observability core: histogram bucket geometry, percentile
-   floors, exact snapshot merging (property-tested — associativity and
-   commutativity are what let campaign workers be merged in any order), and
-   the zero-allocation contract when profiling is disabled. *)
-
-module Gen = Check.Gen
-module Runner = Check.Runner
+(* Tests for the observability core: log2 bucket geometry, percentile
+   floors, counters that sum exactly across worker domains, and the
+   zero-allocation contract when profiling is disabled. *)
 
 (* Every test leaves the global registry the way it found it: disabled and
    zeroed. Handles persist (they are interned), which is fine — tests use
@@ -49,50 +45,45 @@ let test_bucket_floor () =
     [ 1; 2; 3; 7; 8; 9; 255; 256; 1_000_000; max_int ]
 
 (* -------------------------------------------------------------------- *)
-(* Percentiles over recorded spans                                      *)
+(* Percentiles over hand-built distributions                            *)
 
-let find_span snapshot name =
-  match
-    List.find_opt
-      (fun d -> d.Obs.dist_name = name)
-      snapshot.Obs.spans
-  with
-  | Some d -> d
-  | None -> Alcotest.failf "span %s missing from snapshot" name
+let dist_of name values =
+  let buckets = Array.make Obs.bucket_count 0 in
+  List.iter
+    (fun v ->
+      let b = Obs.bucket_index v in
+      buckets.(b) <- buckets.(b) + 1)
+    values;
+  {
+    Obs.dist_name = name;
+    dist_count = List.length values;
+    dist_total = List.fold_left ( + ) 0 values;
+    dist_buckets = buckets;
+  }
 
 let test_percentile () =
-  scrubbed (fun () ->
-      Obs.enable ();
-      Obs.reset ();
-      let sp = Obs.span "test.percentile" in
-      (* Three small values and one large one: p50 sits on the small side,
-         p99 lands on the outlier's bucket floor. *)
-      List.iter (Obs.record_span_ns sp) [ 1; 1; 1; 1024 ];
-      let d = find_span (Obs.snapshot ()) "test.percentile" in
-      Alcotest.(check int) "count" 4 d.Obs.dist_count;
-      Alcotest.(check int) "total" 1027 d.Obs.dist_total;
-      Alcotest.(check int) "p50" 1 (Obs.percentile d 0.5);
-      Alcotest.(check int) "p99" 1024 (Obs.percentile d 0.99);
-      (* Uniform 1..100: rank 50 -> value 50 -> bucket floor 32. *)
-      let sp2 = Obs.span "test.percentile.uniform" in
-      for v = 1 to 100 do
-        Obs.record_span_ns sp2 v
-      done;
-      let d2 = find_span (Obs.snapshot ()) "test.percentile.uniform" in
-      Alcotest.(check int) "uniform p50" 32 (Obs.percentile d2 0.5);
-      Alcotest.(check int) "uniform p99" 64 (Obs.percentile d2 0.99))
-    ()
+  (* Three small values and one large one: p50 sits on the small side,
+     p99 lands on the outlier's bucket floor. *)
+  let d = dist_of "skewed" [ 1; 1; 1; 1024 ] in
+  Alcotest.(check int) "p50" 1 (Obs.percentile d 0.5);
+  Alcotest.(check int) "p99" 1024 (Obs.percentile d 0.99);
+  (* Uniform 1..100: rank 50 -> value 50 -> bucket floor 32. *)
+  let d2 = dist_of "uniform" (List.init 100 (fun i -> i + 1)) in
+  Alcotest.(check int) "uniform p50" 32 (Obs.percentile d2 0.5);
+  Alcotest.(check int) "uniform p99" 64 (Obs.percentile d2 0.99)
 
 let test_percentile_empty () =
-  let d =
-    {
-      Obs.dist_name = "empty";
-      dist_count = 0;
-      dist_total = 0;
-      dist_buckets = Array.make Obs.bucket_count 0;
-    }
-  in
-  Alcotest.(check int) "empty dist" 0 (Obs.percentile d 0.5)
+  Alcotest.(check int) "empty dist" 0 (Obs.percentile (dist_of "empty" []) 0.5)
+
+(* A span that is entered lands in the snapshot with its call count. *)
+let find_span snapshot name =
+  List.find_opt (fun d -> d.Obs.dist_name = name) snapshot.Obs.spans
+
+let time sp n =
+  for _ = 1 to n do
+    Obs.start sp;
+    Obs.stop sp
+  done
 
 (* -------------------------------------------------------------------- *)
 (* Disabled instrumentation is free                                     *)
@@ -101,19 +92,11 @@ let test_disabled_no_alloc () =
   scrubbed (fun () ->
       Obs.disable ();
       let sp = Obs.span "test.noalloc.span" in
-      let h = Obs.histogram "test.noalloc.hist" in
       (* Warm up: force any lazy domain-local initialisation outside the
          measured window. *)
-      Obs.start sp;
-      Obs.stop sp;
-      Obs.observe h 1;
+      time sp 1;
       let before = Gc.minor_words () in
-      for _ = 1 to 10_000 do
-        Obs.start sp;
-        Obs.stop sp;
-        Obs.record_span_ns sp 42;
-        Obs.observe h 7
-      done;
+      time sp 10_000;
       let after = Gc.minor_words () in
       Alcotest.(check (float 0.0))
         "no minor words allocated while disabled" 0.0 (after -. before))
@@ -123,12 +106,10 @@ let test_disabled_records_nothing () =
   scrubbed (fun () ->
       Obs.disable ();
       Obs.reset ();
-      let sp = Obs.span "test.disabled.span" in
-      Obs.record_span_ns sp 99;
-      let s = Obs.snapshot () in
+      time (Obs.span "test.disabled.span") 3;
       Alcotest.(check bool)
         "no span recorded while disabled" true
-        (not (List.exists (fun d -> d.Obs.dist_name = "test.disabled.span") s.Obs.spans)))
+        (find_span (Obs.snapshot ()) "test.disabled.span" = None))
     ()
 
 let test_counters_always_on () =
@@ -148,179 +129,68 @@ let test_counters_always_on () =
 let test_reset () =
   scrubbed (fun () ->
       Obs.enable ();
-      let sp = Obs.span "test.reset" in
-      Obs.record_span_ns sp 10;
+      time (Obs.span "test.reset") 3;
+      Alcotest.(check (option int))
+        "span recorded while enabled" (Some 3)
+        (Option.map
+           (fun d -> d.Obs.dist_count)
+           (find_span (Obs.snapshot ()) "test.reset"));
       Obs.reset ();
-      let s = Obs.snapshot () in
       Alcotest.(check bool)
         "reset clears spans" true
-        (not (List.exists (fun d -> d.Obs.dist_name = "test.reset") s.Obs.spans)))
+        (find_span (Obs.snapshot ()) "test.reset" = None))
     ()
 
 (* -------------------------------------------------------------------- *)
-(* Merge laws, property-tested                                          *)
+(* Counters are exact across worker domains                             *)
 
-(* Snapshots are plain data, so the laws are checked on synthetic values —
-   far denser than anything the instrumented paths would produce. Keys are
-   drawn from small fixed sets so collisions (the interesting case for a
-   union-merge) are common. *)
-
-let gen_buckets =
-  Gen.map
-    (fun cells ->
-      let a = Array.make Obs.bucket_count 0 in
-      List.iter (fun (i, v) -> a.(i) <- a.(i) + v) cells;
-      a)
-    (Gen.list_size (Gen.int_range 0 4)
-       (Gen.pair (Gen.int_range 0 (Obs.bucket_count - 1)) (Gen.int_range 0 1000)))
-
-let gen_dist name =
-  Gen.map2
-    (fun buckets total ->
-      {
-        Obs.dist_name = name;
-        dist_count = Array.fold_left ( + ) 0 buckets;
-        dist_total = total;
-        dist_buckets = buckets;
-      })
-    gen_buckets (Gen.int_range 0 100_000)
-
-(* For each name in a fixed catalogue, independently include a dist or not:
-   the result is sorted with unique keys, as [snapshot] guarantees. *)
-let gen_dists names =
-  List.fold_right
-    (fun name acc ->
-      Gen.map2
-        (fun present rest ->
-          match present with Some d -> d :: rest | None -> rest)
-        (Gen.map2
-           (fun keep d -> if keep then Some d else None)
-           Gen.bool (gen_dist name))
-        acc)
-    names (Gen.pure [])
-
-let gen_assoc names =
-  List.fold_right
-    (fun name acc ->
-      Gen.map2
-        (fun v rest ->
-          match v with Some n -> (name, n) :: rest | None -> rest)
-        (Gen.map2
-           (fun keep n -> if keep then Some n else None)
-           Gen.bool (Gen.int_range 0 10_000))
-        acc)
-    names (Gen.pure [])
-
-let gen_worker domain =
-  Gen.map2
-    (fun (cells, busy) (minor, major) ->
-      {
-        Obs.w_domain = domain;
-        w_cells = cells;
-        w_busy_ns = busy;
-        w_minor_collections = minor;
-        w_major_collections = major;
-        w_minor_words = minor * 1000;
-        w_promoted_words = major * 10;
-        w_major_words = major * 100;
-      })
-    (Gen.pair (Gen.int_range 1 50) (Gen.int_range 0 1_000_000))
-    (Gen.pair (Gen.int_range 0 100) (Gen.int_range 0 10))
-
-let gen_workers =
-  List.fold_right
-    (fun domain acc ->
-      Gen.map2
-        (fun v rest -> match v with Some w -> w :: rest | None -> rest)
-        (Gen.map2
-           (fun keep w -> if keep then Some w else None)
-           Gen.bool (gen_worker domain))
-        acc)
-    [ 0; 1; 2 ] (Gen.pure [])
-
-let gen_snapshot =
-  Gen.map2
-    (fun (spans, hists) ((counters, gauges), workers) ->
-      { Obs.spans; hists; counters; gauges; workers })
-    (Gen.pair (gen_dists [ "s.a"; "s.b"; "s.c" ]) (gen_dists [ "h.x"; "h.y" ]))
-    (Gen.pair
-       (Gen.pair (gen_assoc [ "c.a"; "c.b" ]) (gen_assoc [ "g.a"; "g.b" ]))
-       gen_workers)
-
-(* Canonical rendering for equality: covers every field, including bucket
-   contents, so a merge that drops or reorders anything is caught. *)
-let render_dist d =
-  let buckets =
-    d.Obs.dist_buckets |> Array.to_list
-    |> List.mapi (fun i v -> (i, v))
-    |> List.filter (fun (_, v) -> v <> 0)
-    |> List.map (fun (i, v) -> Printf.sprintf "%d:%d" i v)
-    |> String.concat ","
+(* Each domain counts into its own table and [snapshot] sums the tables,
+   so a campaign's work counters must not depend on how many domains ran
+   its cells. *)
+let test_counters_across_domains () =
+  let base =
+    {
+      Sim.Config.small with
+      Sim.Config.nodes = 16;
+      duration = 20.0;
+      flows = 2;
+      seed = 5;
+    }
   in
-  Printf.sprintf "%s#%d/%d[%s]" d.Obs.dist_name d.Obs.dist_count
-    d.Obs.dist_total buckets
-
-let render_worker w =
-  Printf.sprintf "w%d:%d,%d,%d,%d,%d,%d,%d" w.Obs.w_domain w.Obs.w_cells
-    w.Obs.w_busy_ns w.Obs.w_minor_collections w.Obs.w_major_collections
-    w.Obs.w_minor_words w.Obs.w_promoted_words w.Obs.w_major_words
-
-let render s =
-  String.concat "|"
-    [
-      String.concat ";" (List.map render_dist s.Obs.spans);
-      String.concat ";" (List.map render_dist s.Obs.hists);
-      String.concat ";"
-        (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) s.Obs.counters);
-      String.concat ";"
-        (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) s.Obs.gauges);
-      String.concat ";" (List.map render_worker s.Obs.workers);
-    ]
-
-let check_prop name cell =
-  match Runner.run_cell ~seed:7 ~cases:300 cell with
-  | Runner.Pass _ -> ()
-  | Runner.Fail _ as outcome ->
-      Alcotest.fail (Runner.report outcome ~name)
-
-let test_merge_commutative () =
-  check_prop "merge-commutative"
-    (Runner.cell ~name:"merge-commutative"
-       ~print:(fun (a, b) -> render a ^ " <> " ^ render b)
-       (Gen.pair gen_snapshot gen_snapshot)
-       (fun (a, b) ->
-         let ab = render (Obs.merge_snapshots a b) in
-         let ba = render (Obs.merge_snapshots b a) in
-         if ab = ba then Ok ()
-         else Error (Printf.sprintf "a+b = %s\nb+a = %s" ab ba)))
-
-let test_merge_associative () =
-  check_prop "merge-associative"
-    (Runner.cell ~name:"merge-associative"
-       ~print:(fun (a, (b, c)) ->
-         render a ^ " <> " ^ render b ^ " <> " ^ render c)
-       (Gen.pair gen_snapshot (Gen.pair gen_snapshot gen_snapshot))
-       (fun (a, (b, c)) ->
-         let l =
-           render (Obs.merge_snapshots (Obs.merge_snapshots a b) c)
-         in
-         let r =
-           render (Obs.merge_snapshots a (Obs.merge_snapshots b c))
-         in
-         if l = r then Ok ()
-         else Error (Printf.sprintf "(a+b)+c = %s\na+(b+c) = %s" l r)))
-
-let test_merge_identity () =
-  let empty =
-    { Obs.spans = []; hists = []; counters = []; gauges = []; workers = [] }
+  let names =
+    [ "channel.cs.queries"; "channel.tx.candidates"; "channel.rx.receptions" ]
   in
-  check_prop "merge-identity"
-    (Runner.cell ~name:"merge-identity" ~print:render gen_snapshot (fun s ->
-         let l = render (Obs.merge_snapshots empty s) in
-         let r = render (Obs.merge_snapshots s empty) in
-         let orig = render s in
-         if l = orig && r = orig then Ok ()
-         else Error (Printf.sprintf "empty+s = %s\ns+empty = %s\ns = %s" l r orig)))
+  let counted jobs =
+    scrubbed
+      (fun () ->
+        Obs.reset ();
+        Obs.enable ();
+        ignore
+          (Sim.Experiment.run ~jobs ~pause_scale:1.0 ~base
+             ~protocols:[ Sim.Config.Srp; Sim.Config.Olsr ]
+             ~pauses:[ 0.0; 900.0 ] ~trials:1
+             ~progress:(fun _ -> ())
+             ()
+            : Sim.Experiment.t);
+        Obs.disable ();
+        let s = Obs.snapshot () in
+        ( List.map
+            (fun k ->
+              (k, Option.value ~default:0 (List.assoc_opt k s.Obs.counters)))
+            names,
+          List.fold_left (fun n w -> n + w.Obs.w_cells) 0 s.Obs.workers ))
+      ()
+  in
+  let one, cells_one = counted 1 in
+  let two, cells_two = counted 2 in
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check bool) (k ^ " counted") true (v > 0))
+    one;
+  Alcotest.(check (list (pair string int))) "same totals at -j 1 and -j 2" one
+    two;
+  Alcotest.(check (pair int int)) "every cell in the worker ledger" (4, 4)
+    (cells_one, cells_two)
 
 (* -------------------------------------------------------------------- *)
 (* Prometheus exposition                                                *)
@@ -329,9 +199,7 @@ let test_prometheus_shape () =
   scrubbed (fun () ->
       Obs.enable ();
       Obs.reset ();
-      let sp = Obs.span "test.prom.span" in
-      Obs.record_span_ns sp 500;
-      Obs.record_span_ns sp 1500;
+      time (Obs.span "test.prom.span") 2;
       let c = Obs.counter "test.prom.counter" in
       Obs.add c 3;
       let text = Obs.Export.prometheus (Obs.snapshot ()) in
@@ -387,11 +255,10 @@ let () =
             test_counters_always_on;
           Alcotest.test_case "reset" `Quick test_reset;
         ] );
-      ( "merge",
+      ( "domains",
         [
-          Alcotest.test_case "commutative" `Quick test_merge_commutative;
-          Alcotest.test_case "associative" `Quick test_merge_associative;
-          Alcotest.test_case "identity" `Quick test_merge_identity;
+          Alcotest.test_case "counters exact across jobs" `Quick
+            test_counters_across_domains;
         ] );
       ( "export",
         [ Alcotest.test_case "prometheus shape" `Quick test_prometheus_shape ] );

@@ -212,13 +212,6 @@ let test_channel_carrier_sense () =
          Alcotest.(check bool) "idle after" false (busy 1)));
   Des.Engine.run_all e
 
-let test_channel_neighbors () =
-  let e = Des.Engine.create () in
-  let ch = line_channel e 5 in
-  Alcotest.(check (list int)) "neighbors of 2" [ 1; 3 ] (Ch.neighbors ch 2);
-  Alcotest.(check bool) "in_range" true (Ch.in_range ch 0 1);
-  Alcotest.(check bool) "not in range" false (Ch.in_range ch 0 2)
-
 (* node 2 sends from the middle of a cluster, so 0, 1 and 3 all hear it:
    [f engine channel] on the naive and on the grid channel *)
 let on_cluster f =
@@ -712,7 +705,6 @@ let () =
           Alcotest.test_case "capture effect" `Quick test_channel_capture;
           Alcotest.test_case "half duplex" `Quick test_channel_half_duplex;
           Alcotest.test_case "carrier sense" `Quick test_channel_carrier_sense;
-          Alcotest.test_case "neighbors" `Quick test_channel_neighbors;
           Alcotest.test_case "one frame delivers in ascending id" `Quick
             test_channel_delivery_order;
           Alcotest.test_case "a reply inside delivery keeps the frame" `Quick
